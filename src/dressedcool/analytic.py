@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,15 +102,22 @@ class RateSet:
     cooling_rate: float
 
 
-def steady_atom(p: PhysicalParams) -> SteadyAtom:
-    """Stationary dressed populations from sideband detailed balance.
+class _Ingredients(NamedTuple):
+    """The dressed-state quantities every closed-form result is built from."""
 
-    Raises
-    ------
-    DegenerateRatesError
-        If gamma_plus*cos^4(theta) + gamma_minus*sin^4(theta) = 0 (both
-        sideband transitions dark): no unique atomic steady state exists.
-    """
+    atom: SteadyAtom
+    gamma_perp: float    # dressed-coherence damping
+    gamma_s: float       # sideband weight sum; populations relax at 2*gamma_s
+    gamma_0_eff: float   # recoil diffusion floor
+    k: float             # (eta*omega)^2
+    mismatch: float      # 2*omega_bar - nu, distance from the red sideband
+
+    @property
+    def lorentzian(self) -> float:
+        return self.gamma_perp ** 2 + self.mismatch ** 2
+
+
+def _ingredients(p: PhysicalParams) -> _Ingredients:
     f = dressed_frame(p)
     down = p.gamma_plus * f.cos4_theta   # upper -> lower dressed decay weight
     up = p.gamma_minus * f.sin4_theta    # lower -> upper dressed pump weight
@@ -122,8 +130,29 @@ def steady_atom(p: PhysicalParams) -> SteadyAtom:
     # (up - down)/total equals r22 - r11 to rounding but keeps the sign of
     # the rate comparison exact, which the cooling-sign law relies on.
     rz = (up - down) / total
-    return SteadyAtom(r11=r11, r22=1.0 - r11, rz=rz,
+    atom = SteadyAtom(r11=r11, r22=1.0 - r11, rz=rz,
                       sz=0.5 * f.cos_2theta * rz)
+    return _Ingredients(
+        atom=atom,
+        gamma_perp=p.gamma_zero * f.sin2_2theta + down + up,
+        gamma_s=total,
+        gamma_0_eff=RECOIL_SECOND_MOMENT * p.eta ** 2 * (
+            up * r11 + down * atom.r22 + 0.25 * p.gamma_zero * f.sin2_2theta),
+        k=(p.eta * p.omega) ** 2,
+        mismatch=2.0 * f.omega_bar - p.nu,
+    )
+
+
+def steady_atom(p: PhysicalParams) -> SteadyAtom:
+    """Stationary dressed populations from sideband detailed balance.
+
+    Raises
+    ------
+    DegenerateRatesError
+        If gamma_plus*cos^4(theta) + gamma_minus*sin^4(theta) = 0 (both
+        sideband transitions dark): no unique atomic steady state exists.
+    """
+    return _ingredients(p).atom
 
 
 def rate_set(p: PhysicalParams) -> RateSet:
@@ -133,26 +162,17 @@ def rate_set(p: PhysicalParams) -> RateSet:
     the standalone cooling_rate() function evaluates the equivalent direct
     expression, giving an independent route for consistency checks.
     """
-    f = dressed_frame(p)
-    atom = steady_atom(p)
-    gamma_perp = (p.gamma_zero * f.sin2_2theta
-                  + p.gamma_plus * f.cos4_theta
-                  + p.gamma_minus * f.sin4_theta)
-    gamma_s = p.gamma_plus * f.cos4_theta + p.gamma_minus * f.sin4_theta
-    gamma_0_eff = RECOIL_SECOND_MOMENT * p.eta ** 2 * (
-        p.gamma_minus * f.sin4_theta * atom.r11
-        + p.gamma_plus * f.cos4_theta * atom.r22
-        + 0.25 * p.gamma_zero * f.sin2_2theta)
-    k = (p.eta * p.omega) ** 2
-    mismatch = 2.0 * f.omega_bar - p.nu   # distance from the red sideband
-    a_minus = gamma_0_eff + k * atom.r11 / complex(gamma_perp, mismatch)
-    a_plus = gamma_0_eff + k * atom.r22 / complex(gamma_perp, -mismatch)
+    g = _ingredients(p)
+    a_minus = g.gamma_0_eff + (g.k * g.atom.r11
+                               / complex(g.gamma_perp, g.mismatch))
+    a_plus = g.gamma_0_eff + (g.k * g.atom.r22
+                              / complex(g.gamma_perp, -g.mismatch))
     a_rate_minus = 2.0 * a_minus.real
     a_rate_plus = 2.0 * a_plus.real
     return RateSet(
-        gamma_perp=gamma_perp,
-        gamma_s=gamma_s,
-        gamma_0_eff=gamma_0_eff,
+        gamma_perp=g.gamma_perp,
+        gamma_s=g.gamma_s,
+        gamma_0_eff=g.gamma_0_eff,
         a_minus=a_minus,
         a_plus=a_plus,
         a_rate_minus=a_rate_minus,
@@ -167,14 +187,8 @@ def cooling_rate(p: PhysicalParams) -> float:
     C = -2 (eta*omega)^2 * gamma_perp * rz / (gamma_perp^2 + mismatch^2),
     positive exactly when the lower dressed level dominates (rz < 0).
     """
-    f = dressed_frame(p)
-    atom = steady_atom(p)
-    gamma_perp = (p.gamma_zero * f.sin2_2theta
-                  + p.gamma_plus * f.cos4_theta
-                  + p.gamma_minus * f.sin4_theta)
-    k = (p.eta * p.omega) ** 2
-    mismatch = 2.0 * f.omega_bar - p.nu
-    return -2.0 * k * gamma_perp * atom.rz / (gamma_perp ** 2 + mismatch ** 2)
+    g = _ingredients(p)
+    return -2.0 * g.k * g.gamma_perp * g.atom.rz / g.lorentzian
 
 
 def steady_phonon(p: PhysicalParams) -> float | Heating:
@@ -193,26 +207,16 @@ def steady_phonon(p: PhysicalParams) -> float | Heating:
         If eta*omega = 0 while the parameters are on the cooling side: the
         second term is 0/0 and no steady phonon number is defined.
     """
-    f = dressed_frame(p)
-    atom = steady_atom(p)
-    inversion_gap = -atom.rz   # r11 - r22, exact sign
+    g = _ingredients(p)
+    inversion_gap = -g.atom.rz   # r11 - r22, exact sign
     if inversion_gap <= _BALANCE_TOL:
         return HEATING
-    k = (p.eta * p.omega) ** 2
-    if k == 0.0:
+    if g.k == 0.0:
         raise ZeroCouplingError(
             "eta*omega = 0: phonon decoupled, steady phonon number undefined")
-    gamma_perp = (p.gamma_zero * f.sin2_2theta
-                  + p.gamma_plus * f.cos4_theta
-                  + p.gamma_minus * f.sin4_theta)
-    gamma_0_eff = RECOIL_SECOND_MOMENT * p.eta ** 2 * (
-        p.gamma_minus * f.sin4_theta * atom.r11
-        + p.gamma_plus * f.cos4_theta * atom.r22
-        + 0.25 * p.gamma_zero * f.sin2_2theta)
-    mismatch = 2.0 * f.omega_bar - p.nu
-    lorentzian = gamma_perp ** 2 + mismatch ** 2
-    return (atom.r22 / inversion_gap
-            + gamma_0_eff * lorentzian / (k * gamma_perp * inversion_gap))
+    return (g.atom.r22 / inversion_gap
+            + g.gamma_0_eff * g.lorentzian
+            / (g.k * g.gamma_perp * inversion_gap))
 
 
 # --- trajectories ------------------------------------------------------------

@@ -47,8 +47,10 @@ from .errors import (
 )
 from .lindblad import converged_steady_state, reduced_phonon_evolve
 from .sweep import (
-    HEATING_SENTINEL,
     SweepSpec,
+    _cell,
+    _encode_json,
+    _json_value,
     grid_from_range,
     list_presets,
     preset_sweeps,
@@ -71,43 +73,8 @@ _SUBCOMMAND_HELP = {
 
 # --- serialization helpers ----------------------------------------------------
 
-def _jsonable(value):
-    """Recursively make a document strict-JSON safe and deterministic."""
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if is_heating(value):
-        return HEATING_SENTINEL
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
-    if isinstance(value, complex):
-        return {"re": _jsonable(value.real), "im": _jsonable(value.imag)}
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if math.isfinite(value):
-            return value
-        return repr(value)       # "inf" / "-inf" / "nan" as strings
-    if isinstance(value, (np.bool_, np.integer)):
-        return value.item()
-    return value
-
-
 def _dump_json(doc) -> str:
-    return json.dumps(_jsonable(doc), sort_keys=True, indent=2,
-                      allow_nan=False) + "\n"
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if is_heating(value):
-        return HEATING_SENTINEL
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return _encode_json(_json_value(doc))
 
 
 def _flatten(doc, prefix="") -> list[tuple[str, str]]:
@@ -120,18 +87,18 @@ def _flatten(doc, prefix="") -> list[tuple[str, str]]:
         for i, item in enumerate(doc):
             rows.extend(_flatten(item, f"{prefix}{i}."))
     else:
-        rows.append((prefix[:-1], _csv_cell(doc)))
+        rows.append((prefix[:-1], _cell(doc)))
     return rows
 
 
 def _scalar_csv(doc) -> str:
     lines = ["key,value"]
-    lines += [f"{k},{v}" for k, v in _flatten(_jsonable(doc))]
+    lines += [f"{k},{v}" for k, v in _flatten(_json_value(doc))]
     return "\n".join(lines) + "\n"
 
 
 def _config_comment(cfg: RunConfig) -> str:
-    blob = json.dumps(_jsonable(cfg.as_embed_dict()), sort_keys=True)
+    blob = json.dumps(_json_value(cfg.as_embed_dict()), sort_keys=True)
     return f"# config = {blob}\n"
 
 
@@ -202,7 +169,7 @@ def cmd_trajectory(cfg: RunConfig) -> int:
         series.append(reduced_phonon_evolve(p, cfg["n0"], times))
     rows = list(zip(*series))
     if cfg["format"] == "csv":
-        lines = [",".join(_csv_cell(float(v)) for v in row) for row in rows]
+        lines = [",".join(_cell(float(v)) for v in row) for row in rows]
         _emit(cfg, _config_comment(cfg) + ",".join(columns) + "\n"
               + "\n".join(lines) + "\n")
     else:
@@ -277,14 +244,16 @@ def cmd_sweep(cfg: RunConfig) -> int:
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     markers: list[str] = []
+    oracle_failed = False
     for spec in specs:
         table = run_sweep(spec, workers=cfg["workers"])
         markers.extend(table.error_markers)
+        oracle_failed = oracle_failed or table.has_oracle_errors
         path = out_dir / f"{_slug(spec.label)}.{cfg['format']}"
         if cfg["format"] == "csv":
             text = (_config_comment(cfg)
                     + "# spec = "
-                    + json.dumps(_jsonable(spec.to_json_dict()),
+                    + json.dumps(_json_value(spec.to_json_dict()),
                                  sort_keys=True)
                     + "\n" + table.to_csv())
         else:
@@ -295,7 +264,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if markers:
         sys.stderr.write(f"{len(markers)} row error marker(s); first: "
                          f"{markers[0]}\n")
-        if any(m.startswith("oracle ") for m in markers):
+        if oracle_failed:
             return EXIT_ORACLE
         return EXIT_PHYSICS
     return EXIT_OK
@@ -310,6 +279,10 @@ def cmd_validate(cfg: RunConfig) -> int:
         raise HeatingRunError(
             "cannot validate at a heating point: no stationary phonon "
             "number exists there")
+    if ns == 0.0:
+        raise DressedCoolError(
+            "cannot validate where the closed-form phonon number is 0: "
+            "the relative error against it is undefined")
     atom = steady_atom(p)
     report = validity_report(p, margin=cfg["margin"])
     warnings: list[str] = []
@@ -396,15 +369,16 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(name, help=_SUBCOMMAND_HELP[name],
                                     description=_SUBCOMMAND_HELP[name])
         sub.add_argument("--config", metavar="FILE", default=None,
-                         help="flat key = value config file (UTF-8, "
-                              "# comments); flags override it")
+                         help="flat key = value config file (UTF-8; # "
+                              "starts a comment at the start of a line or "
+                              "after whitespace); flags override it")
         for key in schema:
             flag = "--" + key.name.replace("_", "-")
             kwargs: dict = {"dest": key.name, "default": None}
             if key.default is REQUIRED:
                 note = " (required)"
             else:
-                note = f" (default: {_csv_cell(key.default)})"
+                note = f" (default: {_cell(key.default)})"
             kwargs["help"] = key.help + note
             if key.type == "float":
                 kwargs["type"] = float

@@ -4,12 +4,15 @@ Every run option lives in one namespace per subcommand: a value comes
 from the config file, from a command-line flag (flags win), or from the
 documented default, and the fully resolved set is embedded in every
 output document so a run can be reproduced from its own output.  Files
-are UTF-8 text, one ``key = value`` per line, ``#`` starts a comment,
-keys may appear once.  There are no environment-variable overrides.
+are UTF-8 text, one ``key = value`` per line, keys may appear once.  A
+``#`` starts a comment only at the start of a line or after whitespace,
+so ``output = runs#1.json`` keeps its ``#``.  There are no
+environment-variable overrides.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,21 +52,22 @@ _PARAM_KEYS = (
 PARAM_KEY_NAMES = tuple(k.name for k in _PARAM_KEYS)
 
 
-def _common(format_default: str) -> tuple[Key, ...]:
-    return (
-        Key("reference_rate", "choice", "gamma_plus",
-            "which rate all numbers are measured in; echoed, never applied",
-            choices=("gamma_plus", "gamma")),
-        Key("format", "choice", format_default, "output encoding",
-            choices=("csv", "json")),
-        Key("output", "str", "-", "output path, '-' for stdout"),
-    )
+_REFERENCE_RATE = Key(
+    "reference_rate", "choice", "gamma_plus",
+    "which rate all numbers are measured in; echoed, never applied",
+    choices=("gamma_plus", "gamma"))
+_FORMAT_CSV, _FORMAT_JSON = (
+    Key("format", "choice", default, "output encoding",
+        choices=("csv", "json"))
+    for default in ("csv", "json"))
+_OUTPUT = Key("output", "str", "-", "output path, '-' for stdout")
 
 
 SCHEMAS: dict[str, tuple[Key, ...]] = {
     "steady": _PARAM_KEYS + (
         Key("margin", "float", 10.0, "validity margin factor"),
-    ) + _common("json"),
+        _REFERENCE_RATE, _FORMAT_JSON, _OUTPUT,
+    ),
     "trajectory": _PARAM_KEYS + (
         Key("t_end", "float", REQUIRED, "final time of the series, > 0"),
         Key("samples", "int", 201, "number of sample times incl. both ends"),
@@ -74,7 +78,8 @@ SCHEMAS: dict[str, tuple[Key, ...]] = {
             "initial dressed coherence, imaginary part"),
         Key("ode", "bool", False,
             "add an independently integrated phonon column"),
-    ) + _common("csv"),
+        _REFERENCE_RATE, _FORMAT_CSV, _OUTPUT,
+    ),
     "sweep": (
         Key("preset", "str", "", "figure preset name; empty = custom sweep"),
         Key("variable", "str", "",
@@ -89,25 +94,16 @@ SCHEMAS: dict[str, tuple[Key, ...]] = {
         Key("oracle_n_max", "int", 12, "starting Fock cut for oracle solves"),
         Key("workers", "int", 1, "process count for parallel evaluation"),
         Key("out_dir", "str", ".", "directory for the per-curve files"),
-    ) + _PARAM_KEYS + (
-        Key("reference_rate", "choice", "gamma_plus",
-            "which rate all numbers are measured in; echoed, never applied",
-            choices=("gamma_plus", "gamma")),
-        Key("format", "choice", "csv", "output encoding",
-            choices=("csv", "json")),
-    ),
+    ) + _PARAM_KEYS + (_REFERENCE_RATE, _FORMAT_CSV),
     "validate": _PARAM_KEYS + (
         Key("n_max", "int", 12, "starting Fock cut for the kernel solve"),
         Key("dim_cap", "int", 64, "hard ceiling on the solver dimension"),
         Key("threshold", "float", 0.15,
             "relative disagreement that still counts as a pass"),
         Key("margin", "float", 10.0, "validity margin factor"),
-    ) + _common("json"),
-    "presets": (
-        Key("format", "choice", "json", "output encoding",
-            choices=("csv", "json")),
-        Key("output", "str", "-", "output path, '-' for stdout"),
+        _REFERENCE_RATE, _FORMAT_JSON, _OUTPUT,
     ),
+    "presets": (_FORMAT_JSON, _OUTPUT),
 }
 
 # sweep params are only required for custom sweeps; presets carry their own
@@ -121,11 +117,15 @@ def schema_for(subcommand: str) -> tuple[Key, ...]:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
 
 
+# a comment runs from a '#' at the start of a line or after whitespace
+_COMMENT = re.compile(r"(?:^|\s)#.*")
+
+
 def parse_config_text(text: str) -> dict[str, str]:
     """key=value lines to an ordered string map; no typing yet."""
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.sub("", raw, count=1).strip()
         if not line:
             continue
         if "=" not in line:

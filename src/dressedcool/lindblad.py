@@ -42,6 +42,9 @@ from .params import PhysicalParams, dressed_frame
 
 __all__ = [
     "DEFAULT_DIM_CAP",
+    "RCOND_FLOOR",
+    "RESIDUAL_TOL",
+    "CONVERGENCE_REL_TOL",
     "Liouvillian",
     "EvolveResult",
     "SteadyStateResult",
@@ -59,6 +62,14 @@ __all__ = [
 # Largest allowed total Hilbert-space dimension D = 2 (n_max + 1); the
 # superoperator is dense D^2 x D^2, so memory grows as D^4.
 DEFAULT_DIM_CAP = 128
+
+# Fixed certificate thresholds: every steady state needs a reciprocal
+# condition estimate of the trace-constrained solve of at least RCOND_FLOOR
+# and a kernel residual (infinity norm) of at most RESIDUAL_TOL; the Fock-cut
+# escalation accepts once <b'b> changes by less than CONVERGENCE_REL_TOL.
+RCOND_FLOOR = 1e-12
+RESIDUAL_TOL = 1e-10
+CONVERGENCE_REL_TOL = 1e-4
 
 
 def _vec(rho: np.ndarray) -> np.ndarray:
@@ -268,16 +279,6 @@ class EvolveResult:
     min_eig: np.ndarray
     n_max: int
 
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
-    def csv_rows(self):
-        """Rows (t, n, rz, re_rplus, im_rplus, tail_mass)."""
-        for k in range(len(self.times)):
-            yield (self.times[k], self.n[k], self.rz[k],
-                   self.rplus[k].real, self.rplus[k].imag, self.tail_mass[k])
-
 
 def evolve(liouv: Liouvillian, rho0: np.ndarray, t_end: float, *,
            t_eval=None, n_samples: int = 201, rtol: float = 1e-9,
@@ -394,21 +395,23 @@ def _raise_no_steady(lmat: np.ndarray, reason: str) -> None:
                                                                float(sv[-2])))
 
 
-def steady_state(liouv: Liouvillian, *, rcond_floor: float = 1e-12,
-                 residual_tol: float = 1e-10) -> SteadyStateResult:
+def steady_state(liouv: Liouvillian) -> SteadyStateResult:
     """Solve L vec(rho) = 0 with Tr rho = 1.
 
     The first row of the system is replaced by the trace constraint; the
     factorization's reciprocal condition estimate certifies that the
     kernel is one-dimensional (a second kernel direction leaves the
     constrained system singular). The residual is measured against the
-    unmodified generator.
+    unmodified generator. Both thresholds are fixed: rcond must reach
+    RCOND_FLOOR (1e-12) and the residual must stay within RESIDUAL_TOL
+    (1e-10).
 
     Raises
     ------
     NoSteadyStateError
-        If the constrained solve is singular/ill-conditioned (kernel not
-        one-dimensional within tolerance) or the residual check fails.
+        If the constrained solve is singular/ill-conditioned (rcond below
+        RCOND_FLOOR: kernel not one-dimensional within tolerance) or the
+        residual exceeds RESIDUAL_TOL.
         The two smallest singular values of the generator are attached.
     """
     lmat = liouv.matrix
@@ -428,16 +431,16 @@ def steady_state(liouv: Liouvillian, *, rcond_floor: float = 1e-12,
         except (scipy.linalg.LinAlgWarning, np.linalg.LinAlgError):
             _raise_no_steady(lmat, "constrained system is exactly singular")
     rcond, info = scipy.linalg.lapack.zgecon(lu, anorm)
-    if info != 0 or not np.isfinite(rcond) or rcond < rcond_floor:
+    if info != 0 or not np.isfinite(rcond) or rcond < RCOND_FLOOR:
         _raise_no_steady(
             lmat, f"constrained solve ill-conditioned (rcond = {rcond:.3e}); "
                   "kernel is not one-dimensional within tolerance")
     v = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
 
     residual = float(np.abs(lmat @ v).max())
-    if residual > residual_tol:
+    if residual > RESIDUAL_TOL:
         _raise_no_steady(
-            lmat, f"kernel residual {residual:.3e} exceeds {residual_tol:.1e}")
+            lmat, f"kernel residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
 
     rho_raw = _unvec(v, dim)
     herm_defect = float(np.abs(rho_raw - rho_raw.conj().T).max())
@@ -471,13 +474,14 @@ class ConvergenceRun:
 
 
 def converged_steady_state(p: PhysicalParams, *, n_max_start: int = 12,
-                           step: int = 4, rel_tol: float = 1e-4,
-                           dim_cap: int = 64,
-                           rcond_floor: float = 1e-12) -> ConvergenceRun:
+                           step: int = 4,
+                           dim_cap: int = 64) -> ConvergenceRun:
     """steady_state with n_max escalation until the phonon number settles.
 
     Solves at n_max_start, then n_max_start + step, ..., accepting once the
-    relative change of ⟨b†b⟩ between consecutive sizes drops below rel_tol.
+    relative change of ⟨b†b⟩ between consecutive sizes drops below the
+    fixed CONVERGENCE_REL_TOL (1e-4). Every solve carries steady_state's
+    fixed certificates (RCOND_FLOOR, RESIDUAL_TOL).
     The default cap is tighter than build_liouvillian's because the loop
     builds every size on the way up; hot parameter points that need more
     room must raise dim_cap explicitly.
@@ -488,8 +492,7 @@ def converged_steady_state(p: PhysicalParams, *, n_max_start: int = 12,
         If the cap is reached without convergence (history attached).
     """
     n_max = n_max_start
-    prev = steady_state(build_liouvillian(p, n_max, dim_cap=dim_cap),
-                        rcond_floor=rcond_floor)
+    prev = steady_state(build_liouvillian(p, n_max, dim_cap=dim_cap))
     history = [(n_max, prev.n)]
     while True:
         n_next = n_max + step
@@ -497,11 +500,10 @@ def converged_steady_state(p: PhysicalParams, *, n_max_start: int = 12,
             raise TruncationBreachError(
                 f"phonon number not converged at dimension cap {dim_cap}; "
                 f"history: {history}")
-        cur = steady_state(build_liouvillian(p, n_next, dim_cap=dim_cap),
-                           rcond_floor=rcond_floor)
+        cur = steady_state(build_liouvillian(p, n_next, dim_cap=dim_cap))
         history.append((n_next, cur.n))
         rel = abs(cur.n - prev.n) / max(abs(cur.n), 1e-12)
-        if rel < rel_tol:
+        if rel < CONVERGENCE_REL_TOL:
             return ConvergenceRun(result=cur, history=tuple(history),
                                   rel_change=rel)
         prev, n_max = cur, n_next

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -44,6 +45,50 @@ GAMMA_ZERO_RULES = ("track_gamma_minus", "fixed")
 # Canonical column order; "x" leads and "error" trails unconditionally.
 VALUE_COLUMNS = ("n_s", "rz_s", "sz_s", "two_sz_s", "c", "a_plus_rate")
 HEATING_SENTINEL = "HEATING"
+# prefix of the error markers left by a failed oracle solve
+_ORACLE_MARKER = "oracle "
+
+
+def _cell(value) -> str:
+    """One CSV cell: empty for None, the sentinel for HEATING, lowercase
+    booleans, repr for floats."""
+    if value is None:
+        return ""
+    if is_heating(value):
+        return HEATING_SENTINEL
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _json_value(value):
+    """Recursively make a document strict-JSON safe and deterministic."""
+    if isinstance(value, (float, np.floating)):     # the common case first
+        value = float(value)
+        if math.isfinite(value):
+            return value
+        return repr(value)       # "inf" / "-inf" / "nan" as strings
+    if isinstance(value, (bool, int, str)) or value is None:
+        return value
+    if is_heating(value):
+        return HEATING_SENTINEL
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, complex):
+        return {"re": _json_value(value.real), "im": _json_value(value.imag)}
+    if isinstance(value, (np.bool_, np.integer)):
+        return value.item()
+    return value
+
+
+def _encode_json(doc) -> str:
+    """The one JSON encoding of every output document; `doc` must already
+    be mapped through _json_value."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def grid_from_range(lo: float, hi: float, count: int) -> tuple[float, ...]:
@@ -195,29 +240,11 @@ def _eval_point(spec: SweepSpec, x: float) -> SweepRow:
             run = converged_steady_state(p, n_max_start=spec.oracle_n_max)
             fields["oracle_n_s"] = run.n
         except (OracleError, InvalidParamsError) as exc:
-            errors.append("oracle " + _marker(exc))
+            errors.append(_ORACLE_MARKER + _marker(exc))
 
     if errors:
         fields["error"] = "; ".join(errors)
     return SweepRow(**fields)
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if is_heating(value):
-        return HEATING_SENTINEL
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _json_value(value):
-    if is_heating(value):
-        return HEATING_SENTINEL
-    return value
 
 
 @dataclass(eq=False)
@@ -242,7 +269,7 @@ class SweepTable:
 
     @property
     def has_oracle_errors(self) -> bool:
-        return any(m.startswith("oracle ") for m in self.error_markers)
+        return any(m.startswith(_ORACLE_MARKER) for m in self.error_markers)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -261,7 +288,7 @@ class SweepTable:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return _encode_json(self.to_json_dict())
 
 
 def run_sweep(spec: SweepSpec, *, workers: int | None = None) -> SweepTable:
@@ -290,79 +317,55 @@ def run_sweep(spec: SweepSpec, *, workers: int | None = None) -> SweepTable:
 # [0.01, 1.5] with 300 points.  Each preset is a family of curves, one
 # per mode frequency in {2, 6, 12} (units of the quoted reference rate).
 
-PRESET_NAMES = ("fig1", "fig1e", "fig2", "fig3")
 _PRESET_NUS = (2.0, 6.0, 12.0)
-_DELTA_GRID = (-10.0, 10.0, 401)
-_RATIO_GRID = (0.01, 1.5, 300)
+_PRESET_GRIDS = {"delta": (-10.0, 10.0, 401), "gamma_ratio": (0.01, 1.5, 300)}
+_PRESET_BASE = dict(omega=5.0, delta=0.0, eta=0.1, gamma_plus=1.0,
+                    gamma_minus=1.0, gamma_zero=1.0)
 
-
-def _detuning_family(name: str, gamma_side: float, *, oracle: bool,
-                     oracle_n_max: int) -> tuple[SweepSpec, ...]:
-    grid = grid_from_range(*_DELTA_GRID)
-    return tuple(
-        SweepSpec(
-            base=PhysicalParams(omega=5.0, delta=0.0, nu=nu, eta=0.1,
-                                gamma_plus=1.0, gamma_minus=gamma_side,
-                                gamma_zero=gamma_side),
-            variable="delta", grid=grid, oracle=oracle,
-            oracle_n_max=oracle_n_max,
-            label=f"{name}:nu={nu:g}", preset=name)
-        for nu in _PRESET_NUS)
-
-
-def _ratio_family(name: str, delta: float, *, oracle: bool,
-                  oracle_n_max: int) -> tuple[SweepSpec, ...]:
-    grid = grid_from_range(*_RATIO_GRID)
-    return tuple(
-        SweepSpec(
-            base=PhysicalParams(omega=5.0, delta=delta, nu=nu, eta=0.1,
-                                gamma_plus=1.0, gamma_minus=1.0,
-                                gamma_zero=1.0),
-            variable="gamma_ratio", grid=grid,
-            gamma_zero_rule="track_gamma_minus", oracle=oracle,
-            oracle_n_max=oracle_n_max,
-            label=f"{name}:nu={nu:g}", preset=name)
-        for nu in _PRESET_NUS)
-
-
-_PRESET_REFERENCE = {"fig1": "gamma", "fig1e": "gamma_plus",
-                     "fig2": "gamma_plus", "fig3": "gamma_plus"}
-_PRESET_NOTES = {
-    "fig1": "free-space-like reservoir: all three rates equal; detuning scan",
-    "fig1e": "structured reservoir, side rates 0.2 gamma_plus; detuning scan",
-    "fig2": "resonant drive, gamma_zero tied to gamma_minus; ratio scan",
-    "fig3": "red-detuned drive delta = -omega, otherwise as fig2; ratio scan",
+# name: (reference rate, note, swept variable, base values that differ
+# from _PRESET_BASE); ratio scans tie gamma_zero to gamma_minus
+_PRESETS = {
+    "fig1": ("gamma", "free-space-like reservoir: all three rates equal; "
+             "detuning scan", "delta", {}),
+    "fig1e": ("gamma_plus", "structured reservoir, side rates 0.2 "
+              "gamma_plus; detuning scan", "delta",
+              {"gamma_minus": 0.2, "gamma_zero": 0.2}),
+    "fig2": ("gamma_plus", "resonant drive, gamma_zero tied to gamma_minus; "
+             "ratio scan", "gamma_ratio", {}),
+    "fig3": ("gamma_plus", "red-detuned drive delta = -omega, otherwise as "
+             "fig2; ratio scan", "gamma_ratio", {"delta": -5.0}),
 }
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_sweeps(name: str, *, oracle: bool = False,
                   oracle_n_max: int = 12) -> tuple[SweepSpec, ...]:
     """The named figure family as one spec per curve (one per nu)."""
-    if name == "fig1":
-        return _detuning_family("fig1", 1.0, oracle=oracle,
-                                oracle_n_max=oracle_n_max)
-    if name == "fig1e":
-        return _detuning_family("fig1e", 0.2, oracle=oracle,
-                                oracle_n_max=oracle_n_max)
-    if name == "fig2":
-        return _ratio_family("fig2", 0.0, oracle=oracle,
-                             oracle_n_max=oracle_n_max)
-    if name == "fig3":
-        return _ratio_family("fig3", -5.0, oracle=oracle,
-                             oracle_n_max=oracle_n_max)
-    raise UnknownPresetError(
-        f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    if name not in _PRESETS:
+        raise UnknownPresetError(
+            f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    _, _, variable, changes = _PRESETS[name]
+    grid = grid_from_range(*_PRESET_GRIDS[variable])
+    return tuple(
+        SweepSpec(
+            base=PhysicalParams(**{**_PRESET_BASE, **changes}, nu=nu),
+            variable=variable, grid=grid,
+            gamma_zero_rule=("track_gamma_minus"
+                             if variable == "gamma_ratio" else None),
+            oracle=oracle, oracle_n_max=oracle_n_max,
+            label=f"{name}:nu={nu:g}", preset=name)
+        for nu in _PRESET_NUS)
 
 
 def list_presets() -> dict[str, dict]:
     """Every preset's full parameterization, keyed by name."""
     out: dict[str, dict] = {}
-    for name in PRESET_NAMES:
+    for name, (reference_rate, note, _, _) in _PRESETS.items():
         specs = preset_sweeps(name)
         first = specs[0]
         out[name] = {
-            "note": _PRESET_NOTES[name],
-            "reference_rate": _PRESET_REFERENCE[name],
+            "note": note,
+            "reference_rate": reference_rate,
             "variable": first.variable,
             "gamma_zero_rule": first.gamma_zero_rule,
             "grid_min": first.grid[0],

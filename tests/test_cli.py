@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from dressedcool import cli
 from dressedcool.cli import (
     EXIT_INVALID_INPUT,
     EXIT_OK,
@@ -63,6 +64,15 @@ class TestConfigParsing:
         assert got["omega"] == "5"
         assert got["gamma_minus"] == "0.2"
         assert len(got) == 7
+
+    def test_hash_inside_value_is_kept(self):
+        # '#' starts a comment only at the start of a line or after
+        # whitespace
+        got = parse_config_text("output = runs#1.json\n"
+                                "format = csv\t# tab-separated comment\n"
+                                "#omega = 5\n"
+                                "   # indented comment\n")
+        assert got == {"output": "runs#1.json", "format": "csv"}
 
     def test_duplicate_key_rejected_with_line_number(self):
         with pytest.raises(ConfigError, match=r"line 3: duplicate key 'a'"):
@@ -141,6 +151,21 @@ class TestExitCodes:
         code, _, err = run_cli(args, capsys)
         assert code == EXIT_PHYSICS
         assert "heating point" in err
+
+    def test_zero_phonon_validate_is_2_before_oracle(self, capsys,
+                                                     monkeypatch):
+        # no heating channel: the closed-form n_s is exactly 0, so the
+        # relative error against it is undefined
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the oracle must not run")
+        monkeypatch.setattr(cli, "converged_steady_state", no_oracle)
+        args = ["validate", "--omega", "5", "--delta", "0", "--nu", "10",
+                "--eta", "0.02", "--gamma-plus", "1", "--gamma-minus", "0",
+                "--gamma-zero", "0"]
+        code, out, err = run_cli(args, capsys)
+        assert code == EXIT_PHYSICS
+        assert out == ""
+        assert err.startswith("error: ") and "phonon number is 0" in err
 
     def test_oracle_failure_validate_is_3(self, capsys):
         code, _, err = run_cli(

@@ -263,14 +263,6 @@ class TestEvolve:
         with pytest.raises(InvalidGridError):
             evolve(liouv, rho0, 2.0, t_eval=[0.5, 3.0])
 
-    def test_csv_rows_shape(self):
-        liouv = build_liouvillian(FIG2_POINT, 8)
-        rho0 = product_state(LOWER, vacuum_phonon(8))
-        res = evolve(liouv, rho0, 1.0, n_samples=5)
-        rows = list(res.csv_rows())
-        assert len(rows) == 5
-        assert len(rows[0]) == 6
-
 
 class TestSteadyState:
     def test_matched_sideband_point_against_closed_form(self, agree_steady):
