@@ -116,6 +116,35 @@ class _Ingredients(NamedTuple):
     def lorentzian(self) -> float:
         return self.gamma_perp ** 2 + self.mismatch ** 2
 
+    def _rate_set(self) -> RateSet:
+        a_minus = self.gamma_0_eff + (
+            self.k * self.atom.r11 / complex(self.gamma_perp, self.mismatch))
+        a_plus = self.gamma_0_eff + (
+            self.k * self.atom.r22 / complex(self.gamma_perp, -self.mismatch))
+        a_rate_minus = 2.0 * a_minus.real
+        a_rate_plus = 2.0 * a_plus.real
+        return RateSet(
+            gamma_perp=self.gamma_perp,
+            gamma_s=self.gamma_s,
+            gamma_0_eff=self.gamma_0_eff,
+            a_minus=a_minus,
+            a_plus=a_plus,
+            a_rate_minus=a_rate_minus,
+            a_rate_plus=a_rate_plus,
+            cooling_rate=a_rate_minus - a_rate_plus,
+        )
+
+    def _steady_phonon(self) -> float | Heating:
+        inversion_gap = -self.atom.rz   # r11 - r22, exact sign
+        if inversion_gap <= _BALANCE_TOL:
+            return HEATING
+        if self.k == 0.0:
+            raise ZeroCouplingError("eta*omega = 0: phonon decoupled, "
+                                    "steady phonon number undefined")
+        return (self.atom.r22 / inversion_gap
+                + self.gamma_0_eff * self.lorentzian
+                / (self.k * self.gamma_perp * inversion_gap))
+
 
 def _ingredients(p: PhysicalParams) -> _Ingredients:
     f = dressed_frame(p)
@@ -162,23 +191,7 @@ def rate_set(p: PhysicalParams) -> RateSet:
     the standalone cooling_rate() function evaluates the equivalent direct
     expression, giving an independent route for consistency checks.
     """
-    g = _ingredients(p)
-    a_minus = g.gamma_0_eff + (g.k * g.atom.r11
-                               / complex(g.gamma_perp, g.mismatch))
-    a_plus = g.gamma_0_eff + (g.k * g.atom.r22
-                              / complex(g.gamma_perp, -g.mismatch))
-    a_rate_minus = 2.0 * a_minus.real
-    a_rate_plus = 2.0 * a_plus.real
-    return RateSet(
-        gamma_perp=g.gamma_perp,
-        gamma_s=g.gamma_s,
-        gamma_0_eff=g.gamma_0_eff,
-        a_minus=a_minus,
-        a_plus=a_plus,
-        a_rate_minus=a_rate_minus,
-        a_rate_plus=a_rate_plus,
-        cooling_rate=a_rate_minus - a_rate_plus,
-    )
+    return _ingredients(p)._rate_set()
 
 
 def cooling_rate(p: PhysicalParams) -> float:
@@ -207,16 +220,7 @@ def steady_phonon(p: PhysicalParams) -> float | Heating:
         If eta*omega = 0 while the parameters are on the cooling side: the
         second term is 0/0 and no steady phonon number is defined.
     """
-    g = _ingredients(p)
-    inversion_gap = -g.atom.rz   # r11 - r22, exact sign
-    if inversion_gap <= _BALANCE_TOL:
-        return HEATING
-    if g.k == 0.0:
-        raise ZeroCouplingError(
-            "eta*omega = 0: phonon decoupled, steady phonon number undefined")
-    return (g.atom.r22 / inversion_gap
-            + g.gamma_0_eff * g.lorentzian
-            / (g.k * g.gamma_perp * inversion_gap))
+    return _ingredients(p)._steady_phonon()
 
 
 # --- trajectories ------------------------------------------------------------
@@ -304,8 +308,9 @@ def trajectory(p: PhysicalParams,
     f = dressed_frame(p)
     if isinstance(init, BareInit):
         init = init.to_dressed(f)
-    atom = steady_atom(p)
-    rates = rate_set(p)
+    g = _ingredients(p)
+    atom = g.atom
+    rates = g._rate_set()
     c = rates.cooling_rate
     a_plus_rate = rates.a_rate_plus
 
@@ -318,7 +323,7 @@ def trajectory(p: PhysicalParams,
         n = init.n * decay - a_plus_rate * np.expm1(-c * t) / c
 
     try:
-        n_steady: float | Heating | None = steady_phonon(p)
+        n_steady: float | Heating | None = g._steady_phonon()
     except ZeroCouplingError:
         n_steady = None
     return Trajectory(

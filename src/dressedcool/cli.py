@@ -31,7 +31,6 @@ from .config import (
     PARAM_KEY_NAMES,
     REQUIRED,
     RunConfig,
-    SCHEMAS,
     load_config_file,
     resolve_config,
     schema_for,
@@ -62,14 +61,6 @@ EXIT_INVALID_INPUT = 1
 EXIT_PHYSICS = 2
 EXIT_ORACLE = 3
 
-_SUBCOMMAND_HELP = {
-    "steady": "closed-form stationary state, rates, and validity checks",
-    "trajectory": "closed-form time series of inversion, coherence, phonons",
-    "sweep": "1-D parameter scans (figure presets or custom grids)",
-    "validate": "compare the closed form against a full kernel solve",
-    "presets": "list the built-in sweep presets",
-}
-
 
 # --- serialization helpers ----------------------------------------------------
 
@@ -97,9 +88,9 @@ def _scalar_csv(doc) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _config_comment(cfg: RunConfig) -> str:
-    blob = json.dumps(_json_value(cfg.as_embed_dict()), sort_keys=True)
-    return f"# config = {blob}\n"
+def _comment_line(name: str, value) -> str:
+    """One CSV header comment: ``# <name> = <sorted JSON>``."""
+    return f"# {name} = {json.dumps(_json_value(value), sort_keys=True)}\n"
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
@@ -110,6 +101,20 @@ def _emit(cfg: RunConfig, text: str) -> None:
         Path(target).write_text(text, encoding="utf-8")
 
 
+def _write_report(cfg: RunConfig, title: str, body, key=None) -> None:
+    """Emit a report: JSON of the config echo plus body (under key, or
+    merged in when key is None), or the title, the config comment and the
+    key,value CSV of body."""
+    if cfg["format"] == "json":
+        doc = {"config": cfg.as_embed_dict(),
+               **(body if key is None else {key: body})}
+        _emit(cfg, _dump_json(doc))
+    else:
+        _emit(cfg, f"# {title}\n"
+              + _comment_line("config", cfg.as_embed_dict())
+              + _scalar_csv(body))
+
+
 # --- steady -------------------------------------------------------------------
 
 def cmd_steady(cfg: RunConfig) -> int:
@@ -117,34 +122,26 @@ def cmd_steady(cfg: RunConfig) -> int:
     atom = steady_atom(p)
     rates = rate_set(p)
     report = validity_report(p, margin=cfg["margin"])
-    ns = steady_phonon(p)
-    doc = {
-        "config": cfg.as_embed_dict(),
-        "result": {
-            "n_s": ns,
-            "rz_s": atom.rz,
-            "sz_s": atom.sz,
-            "two_sz_s": 2.0 * atom.sz,
-            "r11_s": atom.r11,
-            "r22_s": atom.r22,
-            "cooling_rate": rates.cooling_rate,
-            "rates": {
-                "gamma_perp": rates.gamma_perp,
-                "gamma_s": rates.gamma_s,
-                "gamma_0_eff": rates.gamma_0_eff,
-                "a_minus": rates.a_minus,
-                "a_plus": rates.a_plus,
-                "a_rate_minus": rates.a_rate_minus,
-                "a_rate_plus": rates.a_rate_plus,
-            },
-            "validity": report.as_dict(),
+    result = {
+        "n_s": steady_phonon(p),
+        "rz_s": atom.rz,
+        "sz_s": atom.sz,
+        "two_sz_s": 2.0 * atom.sz,
+        "r11_s": atom.r11,
+        "r22_s": atom.r22,
+        "cooling_rate": rates.cooling_rate,
+        "rates": {
+            "gamma_perp": rates.gamma_perp,
+            "gamma_s": rates.gamma_s,
+            "gamma_0_eff": rates.gamma_0_eff,
+            "a_minus": rates.a_minus,
+            "a_plus": rates.a_plus,
+            "a_rate_minus": rates.a_rate_minus,
+            "a_rate_plus": rates.a_rate_plus,
         },
+        "validity": report.as_dict(),
     }
-    if cfg["format"] == "json":
-        _emit(cfg, _dump_json(doc))
-    else:
-        _emit(cfg, "# steady report\n" + _config_comment(cfg)
-              + _scalar_csv(doc["result"]))
+    _write_report(cfg, "steady report", result, "result")
     return EXIT_OK
 
 
@@ -170,7 +167,8 @@ def cmd_trajectory(cfg: RunConfig) -> int:
     rows = list(zip(*series))
     if cfg["format"] == "csv":
         lines = [",".join(_cell(float(v)) for v in row) for row in rows]
-        _emit(cfg, _config_comment(cfg) + ",".join(columns) + "\n"
+        _emit(cfg, _comment_line("config", cfg.as_embed_dict())
+              + ",".join(columns) + "\n"
               + "\n".join(lines) + "\n")
     else:
         doc = {
@@ -197,19 +195,18 @@ def _slug(label: str) -> str:
     return "".join(out)
 
 
-# neutral values of the custom-sweep keys; a preset run must leave all of
-# these alone, but re-feeding an embedded config echo (which spells the
-# neutral values out) stays legal
-_CUSTOM_NEUTRAL = {"variable": "", "grid_min": 0.0, "grid_max": 0.0,
-                   "grid_count": 0, "gamma_zero_rule": ""}
+# keys only custom sweeps use; a preset run must leave each at its schema
+# default, but re-feeding an embedded config echo (which spells the
+# defaults out) stays legal
+_CUSTOM_ONLY = ("variable", "grid_min", "grid_max", "grid_count",
+                "gamma_zero_rule") + PARAM_KEY_NAMES
 
 
 def _sweep_specs(cfg: RunConfig) -> tuple[SweepSpec, ...]:
     if cfg["preset"]:
-        clash = sorted(
-            [k for k in PARAM_KEY_NAMES if cfg[k] is not None]
-            + [k for k, neutral in _CUSTOM_NEUTRAL.items()
-               if cfg[k] != neutral])
+        clash = sorted(k.name for k in schema_for("sweep")
+                       if k.name in _CUSTOM_ONLY
+                       and cfg[k.name] != k.default)
         if clash:
             raise ConfigError(
                 "preset sweeps take their parameters from the preset; "
@@ -251,11 +248,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
         oracle_failed = oracle_failed or table.has_oracle_errors
         path = out_dir / f"{_slug(spec.label)}.{cfg['format']}"
         if cfg["format"] == "csv":
-            text = (_config_comment(cfg)
-                    + "# spec = "
-                    + json.dumps(_json_value(spec.to_json_dict()),
-                                 sort_keys=True)
-                    + "\n" + table.to_csv())
+            text = (_comment_line("config", cfg.as_embed_dict())
+                    + _comment_line("spec", spec.to_json_dict())
+                    + table.to_csv())
         else:
             doc = {"config": cfg.as_embed_dict(), **table.to_json_dict()}
             text = _dump_json(doc)
@@ -296,8 +291,7 @@ def cmd_validate(cfg: RunConfig) -> int:
                                  dim_cap=cfg["dim_cap"])
     oracle = run.result
     rel = abs(oracle.n - ns) / ns
-    doc = {
-        "config": cfg.as_embed_dict(),
+    body = {
         "analytic": {"n_s": ns, "rz_s": atom.rz},
         "oracle": {
             "n_s": oracle.n,
@@ -318,44 +312,34 @@ def cmd_validate(cfg: RunConfig) -> int:
         "validity_overall": report.overall,
         "warnings": warnings,
     }
-    if cfg["format"] == "json":
-        _emit(cfg, _dump_json(doc))
-    else:
-        body = {k: v for k, v in doc.items() if k != "config"}
-        _emit(cfg, "# validation report\n" + _config_comment(cfg)
-              + _scalar_csv(body))
+    _write_report(cfg, "validation report", body)
     return EXIT_OK
 
 
 # --- presets ------------------------------------------------------------------
 
 def cmd_presets(cfg: RunConfig) -> int:
-    doc = {"config": cfg.as_embed_dict(), "presets": list_presets()}
-    if cfg["format"] == "json":
-        _emit(cfg, _dump_json(doc))
-    else:
-        _emit(cfg, "# sweep presets\n" + _config_comment(cfg)
-              + _scalar_csv(doc["presets"]))
+    _write_report(cfg, "sweep presets", list_presets(), "presets")
     return EXIT_OK
-
-
-_COMMANDS = {
-    "steady": cmd_steady,
-    "trajectory": cmd_trajectory,
-    "sweep": cmd_sweep,
-    "validate": cmd_validate,
-    "presets": cmd_presets,
-}
 
 
 # --- argument parsing and dispatch ---------------------------------------------
 
-def _bool_arg(raw: str) -> bool:
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    raise argparse.ArgumentTypeError(f"expected true or false, got {raw!r}")
+# subcommand -> (handler, help); parser and dispatch both read this table
+_COMMANDS = {
+    "steady": (cmd_steady, "closed-form stationary state, rates, and "
+                           "validity checks"),
+    "trajectory": (cmd_trajectory, "closed-form time series of inversion, "
+                                   "coherence, phonons"),
+    "sweep": (cmd_sweep, "1-D parameter scans (figure presets or custom "
+                         "grids)"),
+    "validate": (cmd_validate, "compare the closed form against a full "
+                               "kernel solve"),
+    "presets": (cmd_presets, "list the built-in sweep presets"),
+}
+
+# --help placeholders; flag values stay raw strings until resolve_config
+_METAVARS = {"float": "X", "int": "N", "bool": "true|false"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -365,33 +349,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "reservoir: closed-form model with a full-equation "
                     "cross-check.")
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-    for name, schema in SCHEMAS.items():
-        sub = subparsers.add_parser(name, help=_SUBCOMMAND_HELP[name],
-                                    description=_SUBCOMMAND_HELP[name])
+    for name, (_, summary) in _COMMANDS.items():
+        sub = subparsers.add_parser(name, help=summary, description=summary)
         sub.add_argument("--config", metavar="FILE", default=None,
                          help="flat key = value config file (UTF-8; # "
                               "starts a comment at the start of a line or "
                               "after whitespace); flags override it")
-        for key in schema:
-            flag = "--" + key.name.replace("_", "-")
-            kwargs: dict = {"dest": key.name, "default": None}
+        for key in schema_for(name):
             if key.default is REQUIRED:
                 note = " (required)"
             else:
                 note = f" (default: {_cell(key.default)})"
-            kwargs["help"] = key.help + note
-            if key.type == "float":
-                kwargs["type"] = float
-                kwargs["metavar"] = "X"
-            elif key.type == "int":
-                kwargs["type"] = int
-                kwargs["metavar"] = "N"
-            elif key.type == "bool":
-                kwargs["type"] = _bool_arg
-                kwargs["metavar"] = "true|false"
-            elif key.type == "choice":
-                kwargs["choices"] = key.choices
-            sub.add_argument(flag, **kwargs)
+            metavar = ("{" + ",".join(key.choices) + "}" if key.choices
+                       else _METAVARS.get(key.type))
+            sub.add_argument("--" + key.name.replace("_", "-"),
+                             dest=key.name, default=None, metavar=metavar,
+                             help=key.help + note)
     return parser
 
 
@@ -407,7 +380,8 @@ def main(argv=None) -> int:
         flag_values = {key.name: getattr(args, key.name, None)
                        for key in schema_for(args.subcommand)}
         cfg = resolve_config(args.subcommand, file_values, flag_values)
-        return _COMMANDS[args.subcommand](cfg)
+        handler, _ = _COMMANDS[args.subcommand]
+        return handler(cfg)
     except (ConfigError, InvalidParamsError, InvalidGridError,
             UnknownPresetError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -13,7 +13,7 @@ environment-variable overrides.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigError
@@ -34,7 +34,7 @@ class Key:
 
     name: str
     type: str                      # float | int | bool | str | choice
-    default: object                # REQUIRED when the key must be given
+    default: object                # REQUIRED: must be given; None: unset
     help: str
     choices: tuple[str, ...] = ()
 
@@ -94,7 +94,8 @@ SCHEMAS: dict[str, tuple[Key, ...]] = {
         Key("oracle_n_max", "int", 12, "starting Fock cut for oracle solves"),
         Key("workers", "int", 1, "process count for parallel evaluation"),
         Key("out_dir", "str", ".", "directory for the per-curve files"),
-    ) + _PARAM_KEYS + (_REFERENCE_RATE, _FORMAT_CSV),
+    ) + tuple(replace(k, default=None, help="custom sweeps: " + k.help)
+              for k in _PARAM_KEYS) + (_REFERENCE_RATE, _FORMAT_CSV),
     "validate": _PARAM_KEYS + (
         Key("n_max", "int", 12, "starting Fock cut for the kernel solve"),
         Key("dim_cap", "int", 64, "hard ceiling on the solver dimension"),
@@ -105,9 +106,6 @@ SCHEMAS: dict[str, tuple[Key, ...]] = {
     ),
     "presets": (_FORMAT_JSON, _OUTPUT),
 }
-
-# sweep params are only required for custom sweeps; presets carry their own
-_SWEEP_OPTIONAL = set(PARAM_KEY_NAMES)
 
 
 def schema_for(subcommand: str) -> tuple[Key, ...]:
@@ -203,12 +201,11 @@ class RunConfig:
 
 
 def resolve_config(subcommand: str, file_values: dict[str, str],
-                   flag_values: dict[str, object]) -> RunConfig:
+                   flag_values: dict[str, str | None]) -> RunConfig:
     """Merge defaults < file < flags into a RunConfig, strictly typed.
 
-    file_values are raw strings from parse_config_text; flag_values are
-    already typed (argparse does the conversion) and may hold None for
-    flags the user left out.
+    file_values and flag_values are both raw strings, typed alike by
+    _convert; flag_values may hold None for flags the user left out.
     """
     schema = schema_for(subcommand)
     by_name = {k.name: k for k in schema}
@@ -222,19 +219,16 @@ def resolve_config(subcommand: str, file_values: dict[str, str],
     values: dict = {}
     provided: set[str] = set()
     for key in schema:
-        if key.name in flag_values and flag_values[key.name] is not None:
-            values[key.name] = flag_values[key.name]
-            provided.add(key.name)
-        elif key.name in file_values:
-            values[key.name] = _convert(key, file_values[key.name])
+        raw = flag_values.get(key.name)
+        if raw is None:
+            raw = file_values.get(key.name)
+        if raw is not None:
+            values[key.name] = _convert(key, raw)
             provided.add(key.name)
         elif key.default is REQUIRED:
-            if subcommand == "sweep" and key.name in _SWEEP_OPTIONAL:
-                values[key.name] = None
-            else:
-                raise ConfigError(
-                    f"{subcommand} needs {key.name!r} "
-                    f"(config key or --{key.name.replace('_', '-')})")
+            raise ConfigError(
+                f"{subcommand} needs {key.name!r} "
+                f"(config key or --{key.name.replace('_', '-')})")
         else:
             values[key.name] = key.default
     return RunConfig(subcommand=subcommand, values=values,

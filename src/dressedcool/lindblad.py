@@ -44,6 +44,7 @@ __all__ = [
     "DEFAULT_DIM_CAP",
     "RCOND_FLOOR",
     "RESIDUAL_TOL",
+    "SVD_DIM_MAX",
     "CONVERGENCE_REL_TOL",
     "Liouvillian",
     "EvolveResult",
@@ -70,6 +71,11 @@ DEFAULT_DIM_CAP = 128
 RCOND_FLOOR = 1e-12
 RESIDUAL_TOL = 1e-10
 CONVERGENCE_REL_TOL = 1e-4
+
+# A failed steady-state solve reports the generator's two smallest singular
+# values only up to this Hilbert dimension: the dense SVD of the D^2 x D^2
+# generator costs about four successful solves at D = 16 and grows as D^6.
+SVD_DIM_MAX = 16
 
 
 def _vec(rho: np.ndarray) -> np.ndarray:
@@ -378,18 +384,11 @@ class SteadyStateResult:
     n_max: int
     dim: int
 
-    def summary_dict(self) -> dict:
-        return {
-            "n": self.n, "rz": self.rz,
-            "re_rplus": self.rplus.real, "im_rplus": self.rplus.imag,
-            "tail_mass": self.tail_mass, "residual": self.residual,
-            "rcond": self.rcond, "trace_dev": self.trace_dev,
-            "herm_defect": self.herm_defect, "min_eig": self.min_eig,
-            "n_max": self.n_max, "dim": self.dim,
-        }
-
 
 def _raise_no_steady(lmat: np.ndarray, reason: str) -> None:
+    if lmat.shape[0] > SVD_DIM_MAX ** 2:
+        raise NoSteadyStateError(f"{reason} (singular values not computed "
+                                 f"above dimension {SVD_DIM_MAX})")
     sv = np.linalg.svd(lmat, compute_uv=False)
     raise NoSteadyStateError(reason, smallest_singular_values=(float(sv[-1]),
                                                                float(sv[-2])))
@@ -412,7 +411,8 @@ def steady_state(liouv: Liouvillian) -> SteadyStateResult:
         If the constrained solve is singular/ill-conditioned (rcond below
         RCOND_FLOOR: kernel not one-dimensional within tolerance) or the
         residual exceeds RESIDUAL_TOL.
-        The two smallest singular values of the generator are attached.
+        The two smallest singular values of the generator are attached
+        up to dimension SVD_DIM_MAX (16); above it they are None.
     """
     lmat = liouv.matrix
     dim = liouv.dim

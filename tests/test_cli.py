@@ -181,6 +181,29 @@ class TestExitCodes:
         assert code == EXIT_INVALID_INPUT
         assert "fig1e" in err and "fig3" in err
 
+    @pytest.mark.parametrize("subcommand, key, raw", [
+        ("steady", "eta", "abc"),
+        ("trajectory", "ode", "yes"),
+        ("steady", "format", "xml"),
+    ])
+    def test_bad_flag_value_reported_like_file_value(self, subcommand, key,
+                                                     raw, capsys, tmp_path):
+        flag = "--" + key
+        pairs = zip(BASE_FLAGS[::2], BASE_FLAGS[1::2])
+        args = [subcommand] + [a for pair in pairs if pair[0] != flag
+                               for a in pair]
+        if subcommand == "trajectory":
+            args += ["--t-end", "1", "--n0", "1"]
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(f"{key} = {raw}\n", encoding="utf-8")
+        from_flag = run_cli(args + [flag, raw], capsys)
+        from_file = run_cli(args + ["--config", str(cfg_file)], capsys)
+        assert from_flag == from_file
+        code, out, err = from_flag
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
+
     def test_unknown_flag_is_1(self, capsys):
         code, _, _ = run_cli(["steady", "--bogus", "1"], capsys)
         assert code == EXIT_INVALID_INPUT
@@ -401,6 +424,15 @@ class TestSweepCommand:
              "--out-dir", str(tmp_path)], capsys)
         assert code == EXIT_INVALID_INPUT
         assert "remove: omega" in err
+
+    def test_help_marks_no_base_parameter_required(self, capsys):
+        # presets carry their own base parameters, so no sweep key is
+        # required; steady, by contrast, requires all seven
+        code, out, _ = run_cli(["sweep", "--help"], capsys)
+        assert code == EXIT_OK
+        assert "--gamma-zero" in out and "(required)" not in out
+        _, steady_out, _ = run_cli(["steady", "--help"], capsys)
+        assert steady_out.count("(required)") == 7
 
     def test_preset_json_rerun_from_echo_identical(self, capsys, tmp_path):
         args = ["sweep", "--preset", "fig1e", "--format", "json",

@@ -19,6 +19,7 @@ from dressedcool.errors import (
     TruncationBreachError,
 )
 from dressedcool.lindblad import (
+    SVD_DIM_MAX,
     ConvergenceRun,
     build_liouvillian,
     converged_steady_state,
@@ -283,12 +284,6 @@ class TestSteadyState:
         res = steady_state(build_liouvillian(RESONANT_POINT, 12))
         assert res.n == pytest.approx(0.0972297628592416, rel=0.15)
 
-    def test_summary_dict_keys(self, agree_steady):
-        d = agree_steady.summary_dict()
-        assert d["n_max"] == 12
-        assert d["dim"] == 26
-        assert "residual" in d and "rcond" in d
-
     def test_eta_zero_has_no_unique_kernel(self):
         liouv = build_liouvillian(make(eta=0.0), 3)
         with pytest.raises(NoSteadyStateError) as err:
@@ -296,6 +291,15 @@ class TestSteadyState:
         sv = err.value.smallest_singular_values
         assert sv is not None
         assert sv[0] < 1e-10 and sv[1] < 1e-10
+
+    def test_eta_zero_above_svd_bound_raises_without_singular_values(self):
+        # the first Fock cut whose dimension 2 (n_max + 1) exceeds the bound
+        liouv = build_liouvillian(make(eta=0.0), SVD_DIM_MAX // 2)
+        assert liouv.dim > SVD_DIM_MAX
+        with pytest.raises(NoSteadyStateError,
+                           match="singular values not computed") as err:
+            steady_state(liouv)
+        assert err.value.smallest_singular_values is None
 
     def test_agrees_with_long_time_evolution(self):
         liouv = build_liouvillian(RESONANT_POINT, 8)
