@@ -92,7 +92,8 @@ SCHEMAS: dict[str, tuple[Key, ...]] = {
             "gamma_ratio sweeps: track_gamma_minus or fixed"),
         Key("oracle", "bool", False, "solve the full model at every point"),
         Key("oracle_n_max", "int", 12, "starting Fock cut for oracle solves"),
-        Key("workers", "int", 1, "process count for parallel evaluation"),
+        Key("workers", "int", 1,
+            "process count for parallel oracle evaluation"),
         Key("out_dir", "str", ".", "directory for the per-curve files"),
     ) + tuple(replace(k, default=None, help="custom sweeps: " + k.help)
               for k in _PARAM_KEYS) + (_REFERENCE_RATE, _FORMAT_CSV),

@@ -1,4 +1,4 @@
-"""Dense numerical oracle for the dressed-frame master equation.
+"""Sparse numerical oracle for the dressed-frame master equation.
 
 The generator acts on the atom (two dressed levels) tensored with a
 truncated phonon Fock space. Its Hamiltonian part is
@@ -13,20 +13,20 @@ gamma_minus sin^4(theta) on R+, each in the form
 
 where rho_bar = rho + alpha eta^2 (X rho X - {X^2, rho}/2), X = b + b',
 is the photon-recoil smearing expanded to second order in eta
-(alpha = 2/5). Everything here is solved numerically (dense kernel solve,
-adaptive Runge-Kutta integration); none of the closed-form results from
-the analytic module enter, so agreement between the two is a real check.
+(alpha = 2/5). Everything here is solved numerically (sparse LU kernel
+solve, adaptive Runge-Kutta integration) on one sparse generator; none of
+the closed-form results from the analytic module enter, so agreement
+between the two is a real check.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 from scipy.integrate import solve_ivp
 
 from .analytic import RECOIL_SECOND_MOMENT, _check_times, rate_set
@@ -60,8 +60,10 @@ __all__ = [
     "product_state",
 ]
 
-# Largest allowed total Hilbert-space dimension D = 2 (n_max + 1); the
-# superoperator is dense D^2 x D^2, so memory grows as D^4.
+# Largest allowed total Hilbert-space dimension D = 2 (n_max + 1). The
+# superoperator is D^2 x D^2 but sparse, with about 17 D^2 stored entries;
+# at the cap one steady-state solve takes under a second and about 130 MB,
+# mostly sparse LU fill-in.
 DEFAULT_DIM_CAP = 128
 
 # Fixed certificate thresholds: every steady state needs a reciprocal
@@ -86,19 +88,28 @@ def _unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return v.reshape(dim, dim, order="F")
 
 
+class _Generator(scipy.sparse.csr_array):
+    """CSR generator that reports its stored size like an ndarray."""
+
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+
 @dataclass(eq=False)
 class Liouvillian:
-    """Dense generator of the master equation on vectorized density matrices.
+    """Sparse generator of the master equation on vectorized density matrices.
 
-    `matrix` acts on column-stacked rho; `apply` evaluates the same
-    right-hand side from the operator factors directly (cheaper for
-    integration, and an independent cross-check of the vectorization).
+    `matrix` (CSR, sorted indices, no stored zeros) acts on column-stacked
+    rho and is the one generator that steady_state and evolve use; `apply`
+    evaluates the same right-hand side from the dense operator factors
+    directly (an independent cross-check of the vectorization).
     """
 
     params: PhysicalParams
     n_max: int
     dim: int
-    matrix: np.ndarray
+    matrix: _Generator
     # operator bundle (dense (dim, dim)) used by apply() and observables
     hamiltonian: np.ndarray
     rz_op: np.ndarray
@@ -142,7 +153,7 @@ class Liouvillian:
 
 def build_liouvillian(p: PhysicalParams, n_max: int, *,
                       dim_cap: int = DEFAULT_DIM_CAP) -> Liouvillian:
-    """Assemble the dense superoperator for `p` on Fock levels 0..n_max.
+    """Assemble the sparse superoperator for `p` on Fock levels 0..n_max.
 
     Basis ordering: index = level * (n_max + 1) + n with level 0 the lower
     dressed state. Vectorization is column-stacking, so vec(A rho B) =
@@ -153,8 +164,8 @@ def build_liouvillian(p: PhysicalParams, n_max: int, *,
     InvalidParamsError
         If n_max < 2.
     DimensionOverflowError
-        If 2 (n_max + 1) exceeds dim_cap (the superoperator would need
-        about 16 (dim_cap)^4 bytes).
+        If 2 (n_max + 1) exceeds dim_cap (memory and solve time grow
+        steeply with the dimension; see DEFAULT_DIM_CAP).
     """
     if int(n_max) != n_max or n_max < 2:
         raise InvalidParamsError("n_max", f"n_max must be an integer >= 2, got {n_max}")
@@ -188,8 +199,12 @@ def build_liouvillian(p: PhysicalParams, n_max: int, *,
     )
     alpha_eta2 = RECOIL_SECOND_MOMENT * p.eta ** 2
 
+    def kron(left, right):
+        return scipy.sparse.kron(scipy.sparse.csr_array(left),
+                                 scipy.sparse.csr_array(right), format="csr")
+
     eye = np.eye(dim)
-    lmat = -1j * (np.kron(eye, hamiltonian) - np.kron(hamiltonian.T, eye))
+    lmat = -1j * (kron(eye, hamiltonian) - kron(hamiltonian.T, eye))
     channels = []
     for rate, a in channel_defs:
         if rate == 0.0:
@@ -199,14 +214,17 @@ def build_liouvillian(p: PhysicalParams, n_max: int, *,
         channels.append((rate, a, a_dag, n_op))
         ax = a @ x
         ax2 = a @ x2
-        sandwich = np.kron(a.conj(), a)
+        sandwich = kron(a.conj(), a)
         if alpha_eta2 != 0.0:
             sandwich = sandwich + alpha_eta2 * (
-                np.kron(ax.conj(), ax)
-                - 0.5 * np.kron(a.conj(), ax2)
-                - 0.5 * np.kron(ax2.conj(), a))
+                kron(ax.conj(), ax)
+                - 0.5 * kron(a.conj(), ax2)
+                - 0.5 * kron(ax2.conj(), a))
         lmat += (2.0 * rate) * sandwich
-        lmat -= rate * (np.kron(eye, n_op) + np.kron(n_op.T, eye))
+        lmat -= rate * (kron(eye, n_op) + kron(n_op.T, eye))
+    lmat = _Generator(lmat)
+    lmat.sum_duplicates()
+    lmat.eliminate_zeros()
 
     return Liouvillian(params=p, n_max=n_max, dim=dim, matrix=lmat,
                        hamiltonian=hamiltonian, rz_op=rz_op,
@@ -292,9 +310,9 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray, t_end: float, *,
     """Integrate d(rho)/dt = L rho from a validated initial state.
 
     Adaptive high-order Runge-Kutta stepping controlled by rtol/atol only.
-    t_end = 0 returns the initial state. A sparse view of the generator
-    drives the right-hand side; observables are read off at the sample
-    times (default: n_samples equally spaced points including both ends).
+    t_end = 0 returns the initial state. The sparse generator drives the
+    right-hand side; observables are read off at the sample times
+    (default: n_samples equally spaced points including both ends).
 
     One caveat on the min_eig diagnostic: the second-order recoil
     correction makes the generator only approximately completely
@@ -325,8 +343,7 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray, t_end: float, *,
     if t_end == 0.0:
         raw = rho0[np.newaxis, :, :]
     else:
-        sparse_l = scipy.sparse.csr_matrix(liouv.matrix)
-        sol = solve_ivp(lambda t, y: sparse_l @ y, (0.0, float(t_end)),
+        sol = solve_ivp(lambda t, y: liouv.matrix @ y, (0.0, float(t_end)),
                         _vec(rho0), method="DOP853", t_eval=t_eval,
                         rtol=rtol, atol=atol)
         if not sol.success:
@@ -385,25 +402,61 @@ class SteadyStateResult:
     dim: int
 
 
-def _raise_no_steady(lmat: np.ndarray, reason: str) -> None:
+def _raise_no_steady(lmat: _Generator, reason: str) -> None:
     if lmat.shape[0] > SVD_DIM_MAX ** 2:
         raise NoSteadyStateError(f"{reason} (singular values not computed "
                                  f"above dimension {SVD_DIM_MAX})")
-    sv = np.linalg.svd(lmat, compute_uv=False)
+    sv = np.linalg.svd(lmat.toarray(), compute_uv=False)
     raise NoSteadyStateError(reason, smallest_singular_values=(float(sv[-1]),
                                                                float(sv[-2])))
+
+
+def _unit_phases(x: np.ndarray) -> np.ndarray:
+    """x_i / |x_i|, and 1 where |x_i| is at the underflow threshold."""
+    mag = np.abs(x)
+    tiny = mag <= np.finfo(float).tiny
+    return np.where(tiny, 1.0, x / np.where(tiny, 1.0, mag))
+
+
+def _inverse_norm1_estimate(lu) -> float:
+    """Lower bound on ||A^-1||_1 from the sparse LU factors of A.
+
+    LAPACK's Hager-Higham iteration (xLACN2, the estimator behind its
+    dense condition numbers), step for step, driven by solves with A and
+    A^H: deterministic, at most five solves with columns of A^-1 or sign
+    vectors, then the alternating-sign test vector.
+    """
+    n = lu.shape[0]
+    x = lu.solve(np.full(n, 1.0 / n, dtype=complex))
+    if n == 1:
+        return float(abs(x[0]))
+    est = float(np.abs(x).sum())
+    j = int(np.argmax(np.abs(lu.solve(_unit_phases(x), trans="H"))))
+    for step in range(4):
+        x = lu.solve(np.eye(1, n, j, dtype=complex)[0])
+        est_old, est = est, float(np.abs(x).sum())
+        if est <= est_old or step == 3:
+            break
+        z = np.abs(lu.solve(_unit_phases(x), trans="H"))
+        j_last, j = j, int(np.argmax(z))
+        if z[j_last] == z[j]:
+            break
+    alt = (-1.0) ** np.arange(n) * (1.0 + np.arange(n) / (n - 1))
+    return max(est, 2.0 * (float(np.abs(lu.solve(alt.astype(complex))).sum())
+                           / (3 * n)))
 
 
 def steady_state(liouv: Liouvillian) -> SteadyStateResult:
     """Solve L vec(rho) = 0 with Tr rho = 1.
 
-    The first row of the system is replaced by the trace constraint; the
-    factorization's reciprocal condition estimate certifies that the
-    kernel is one-dimensional (a second kernel direction leaves the
-    constrained system singular). The residual is measured against the
-    unmodified generator. Both thresholds are fixed: rcond must reach
-    RCOND_FLOOR (1e-12) and the residual must stay within RESIDUAL_TOL
-    (1e-10).
+    The first row of the system is replaced by the trace constraint and
+    the result is factored by sparse LU; a deterministic 1-norm estimate
+    of the reciprocal condition number (LAPACK's estimator, run on the
+    sparse factors) certifies that the kernel is one-dimensional (a second
+    kernel direction leaves the constrained system singular). The residual
+    is measured against the unmodified generator. Both thresholds are
+    fixed: rcond must reach RCOND_FLOOR (1e-12) and the residual must stay
+    within RESIDUAL_TOL (1e-10).
 
     Raises
     ------
@@ -417,25 +470,26 @@ def steady_state(liouv: Liouvillian) -> SteadyStateResult:
     lmat = liouv.matrix
     dim = liouv.dim
     d2 = dim * dim
-    constrained = lmat.copy()
-    constrained[0, :] = 0.0
-    constrained[0, :: dim + 1] = 1.0   # vec indices of diagonal entries
+    trace_row = scipy.sparse.csr_array(
+        (np.ones(dim, dtype=complex), np.arange(0, d2, dim + 1), [0, dim]),
+        shape=(1, d2))
+    constrained = scipy.sparse.vstack([trace_row, lmat[1:]], format="csc")
     rhs = np.zeros(d2, dtype=complex)
     rhs[0] = 1.0
 
-    anorm = np.abs(constrained).sum(axis=0).max()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-        try:
-            lu, piv = scipy.linalg.lu_factor(constrained, check_finite=False)
-        except (scipy.linalg.LinAlgWarning, np.linalg.LinAlgError):
-            _raise_no_steady(lmat, "constrained system is exactly singular")
-    rcond, info = scipy.linalg.lapack.zgecon(lu, anorm)
-    if info != 0 or not np.isfinite(rcond) or rcond < RCOND_FLOOR:
+    anorm = float(abs(constrained).sum(axis=0).max())
+    try:
+        lu = scipy.sparse.linalg.splu(constrained)
+    except RuntimeError:
+        _raise_no_steady(lmat, "constrained system is exactly singular")
+    with np.errstate(all="ignore"):
+        ainv_norm = _inverse_norm1_estimate(lu)
+    rcond = 1.0 / ainv_norm / anorm if ainv_norm else 0.0
+    if not np.isfinite(rcond) or rcond < RCOND_FLOOR:
         _raise_no_steady(
             lmat, f"constrained solve ill-conditioned (rcond = {rcond:.3e}); "
                   "kernel is not one-dimensional within tolerance")
-    v = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    v = lu.solve(rhs)
 
     residual = float(np.abs(lmat @ v).max())
     if residual > RESIDUAL_TOL:

@@ -294,11 +294,13 @@ class SweepTable:
 def run_sweep(spec: SweepSpec, *, workers: int | None = None) -> SweepTable:
     """Evaluate every grid point and assemble rows in ascending-x order.
 
-    workers > 1 maps points over a process pool; the table is assembled
-    in grid-index order afterwards, so the result is identical to the
-    serial one.  Per-point failures never raise: they land in the rows.
+    For an oracle sweep, workers > 1 maps points over a process pool; the
+    table is assembled in grid-index order afterwards, so the result is
+    identical to the serial one.  Closed-form points cost microseconds,
+    less than shipping them to a worker, so those sweeps always run
+    serially.  Per-point failures never raise: they land in the rows.
     """
-    if workers is not None and workers > 1:
+    if spec.oracle and workers is not None and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_eval_point, [spec] * len(spec.grid),
                                  spec.grid, chunksize=16))

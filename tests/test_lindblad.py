@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dressedcool.analytic import rate_set, steady_atom, steady_phonon, trajectory, DressedInit
 from dressedcool.errors import (
@@ -118,8 +119,13 @@ class TestBuild:
         # purely Hamiltonian generator: spectrum on the imaginary axis
         p = make(gamma_plus=0.0, gamma_minus=0.0, gamma_zero=1e-30)
         liouv = build_liouvillian(p, 3)
-        eigs = np.linalg.eigvals(liouv.matrix)
+        eigs = np.linalg.eigvals(liouv.matrix.toarray())
         assert np.abs(eigs.real).max() < 1e-10
+
+    def test_generator_nbytes_counts_stored_arrays(self, agree_liouv):
+        m = agree_liouv.matrix
+        assert m.nbytes == (m.data.nbytes + m.indices.nbytes
+                            + m.indptr.nbytes)
 
     def test_basis_conventions(self):
         liouv = build_liouvillian(FIG2_POINT, 4)
@@ -283,6 +289,37 @@ class TestSteadyState:
     def test_resonant_point_matches_example(self):
         res = steady_state(build_liouvillian(RESONANT_POINT, 12))
         assert res.n == pytest.approx(0.0972297628592416, rel=0.15)
+
+    def test_matches_dense_lu_and_zgecon(self):
+        # independent dense route: LAPACK LU and zgecon on the same
+        # trace-constrained system
+        liouv = build_liouvillian(RESONANT_POINT, 12)
+        res = steady_state(liouv)
+        d = liouv.dim
+        constrained = liouv.matrix.toarray()
+        constrained[0, :] = 0.0
+        constrained[0, :: d + 1] = 1.0
+        lu, piv = scipy.linalg.lu_factor(constrained)
+        rcond, info = scipy.linalg.lapack.zgecon(
+            lu, np.abs(constrained).sum(axis=0).max())
+        assert info == 0
+        rhs = np.zeros(d * d, dtype=complex)
+        rhs[0] = 1.0
+        rho = scipy.linalg.lu_solve((lu, piv), rhs).reshape(d, d, order="F")
+        rho = 0.5 * (rho + rho.conj().T)
+        n = np.trace(liouv.number_op @ rho).real / np.trace(rho).real
+        assert res.n == pytest.approx(n, rel=1e-12)
+        assert res.rcond == pytest.approx(rcond, rel=1e-6)
+
+    def test_condition_estimate_is_deterministic(self, agree_liouv):
+        before = np.random.get_state()
+        first = steady_state(agree_liouv).rcond
+        second = steady_state(agree_liouv).rcond
+        after = np.random.get_state()
+        assert first == second
+        assert before[0] == after[0]
+        assert np.array_equal(before[1], after[1])
+        assert before[2:] == after[2:]
 
     def test_eta_zero_has_no_unique_kernel(self):
         liouv = build_liouvillian(make(eta=0.0), 3)

@@ -297,6 +297,12 @@ class TestOracleSweeps:
         assert is_heating(hot.n_s)
         assert hot.oracle_n_s is None and hot.error is None
 
+    def test_parallel_oracle_sweep_equals_serial(self):
+        spec = SweepSpec(base=BASE, variable="gamma_ratio", grid=(0.2, 0.3),
+                         gamma_zero_rule="track_gamma_minus",
+                         oracle=True, oracle_n_max=8)
+        assert run_sweep(spec, workers=2).to_csv() == run_sweep(spec).to_csv()
+
     def test_oracle_rerun_byte_identical(self):
         spec = SweepSpec(base=BASE, variable="gamma_ratio", grid=(0.2, 0.3),
                          gamma_zero_rule="track_gamma_minus",
