@@ -16,7 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateRatesError, InvalidGridError, ZeroCouplingError
+from .errors import (DegenerateRatesError, InvalidGridError,
+                     InvalidParamsError, ZeroCouplingError)
 from .params import DressedFrame, PhysicalParams, dressed_frame
 
 __all__ = [
@@ -397,10 +398,12 @@ def validity_report(p: PhysicalParams, margin: float = 10.0) -> ValidityReport:
     coherence_adiabatic: |C| << gamma_perp           (ratio >= margin)
 
     The adiabatic checks compare against |C| so heating-side parameters are
-    judged by magnitude; C = 0 passes with an infinite ratio.
+    judged by magnitude; C = 0 passes with an infinite ratio.  A margin
+    that is not finite and > 0 raises InvalidParamsError (a ValueError).
     """
-    if margin <= 0:
-        raise ValueError(f"margin must be > 0, got {margin}")
+    if not 0.0 < margin < math.inf:
+        raise InvalidParamsError(
+            "margin", f"must be finite and > 0, got {margin}")
     f = dressed_frame(p)
     rates = rate_set(p)
     c_mag = abs(rates.cooling_rate)

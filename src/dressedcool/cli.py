@@ -4,8 +4,9 @@ Subcommands: steady, trajectory, sweep, validate, presets.  Options come
 from an optional flat config file plus flags (flags win); every output
 document embeds the fully resolved configuration, so re-running from
 that echo reproduces the output byte for byte.  Exit codes: 0 clean
-(heating results included), 1 invalid input, 2 physically meaningless
-request, 3 oracle (numerical) failure.
+(heating results included), 1 invalid input (inputs too large to
+evaluate included), 2 physically meaningless request, 3 oracle
+(numerical) failure.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .lindblad import converged_steady_state, reduced_phonon_evolve
 from .sweep import (
     SweepSpec,
     _cell,
+    _csv_text,
     _encode_json,
     _json_value,
     grid_from_range,
@@ -62,15 +64,11 @@ EXIT_PHYSICS = 2
 EXIT_ORACLE = 3
 
 
-# --- serialization helpers ----------------------------------------------------
+# --- the one document writer --------------------------------------------------
 
-def _dump_json(doc) -> str:
-    return _encode_json(_json_value(doc))
-
-
-def _flatten(doc, prefix="") -> list[tuple[str, str]]:
-    """Nested dict/list to sorted dotted key,value pairs for scalar CSV."""
-    rows: list[tuple[str, str]] = []
+def _flatten(doc, prefix="") -> list[tuple[str, object]]:
+    """Nested dict/list to sorted dotted (key, value) rows."""
+    rows: list[tuple[str, object]] = []
     if isinstance(doc, dict):
         for name in sorted(doc):
             rows.extend(_flatten(doc[name], f"{prefix}{name}."))
@@ -78,50 +76,47 @@ def _flatten(doc, prefix="") -> list[tuple[str, str]]:
         for i, item in enumerate(doc):
             rows.extend(_flatten(item, f"{prefix}{i}."))
     else:
-        rows.append((prefix[:-1], _cell(doc)))
+        rows.append((prefix[:-1], doc))
     return rows
 
 
-def _scalar_csv(doc) -> str:
-    lines = ["key,value"]
-    lines += [f"{k},{v}" for k, v in _flatten(_json_value(doc))]
-    return "\n".join(lines) + "\n"
+def _report_csv(body) -> str:
+    """The key,value CSV of a report body."""
+    return _csv_text([("key", "value"), *_flatten(_json_value(body))])
 
 
-def _comment_line(name: str, value) -> str:
-    """One CSV header comment: ``# <name> = <sorted JSON>``."""
-    return f"# {name} = {json.dumps(_json_value(value), sort_keys=True)}\n"
+def _write_document(cfg: RunConfig, target, body, csv_body, title=None,
+                    comments=()) -> None:
+    """Write one output document to target, stdout for '-'.
 
-
-def _emit(cfg: RunConfig, text: str) -> None:
-    target = cfg["output"]
+    body() gives the JSON members next to the config echo; csv_body()
+    gives the CSV table, written after the optional ``# title`` line and
+    one ``# <name> = <sorted JSON>`` comment for the config echo and for
+    each (name, value) in comments.  Only the callable for cfg["format"]
+    runs.
+    """
+    echo = cfg.as_embed_dict()
+    if cfg["format"] == "json":
+        text = _encode_json(_json_value({"config": echo, **body()}))
+    else:
+        head = [f"# {title}\n"] if title else []
+        for name, value in (("config", echo), *comments):
+            head.append(f"# {name} = "
+                        f"{json.dumps(_json_value(value), sort_keys=True)}\n")
+        text = "".join(head) + csv_body()
     if target == "-":
         sys.stdout.write(text)
     else:
         Path(target).write_text(text, encoding="utf-8")
 
 
-def _write_report(cfg: RunConfig, title: str, body, key=None) -> None:
-    """Emit a report: JSON of the config echo plus body (under key, or
-    merged in when key is None), or the title, the config comment and the
-    key,value CSV of body."""
-    if cfg["format"] == "json":
-        doc = {"config": cfg.as_embed_dict(),
-               **(body if key is None else {key: body})}
-        _emit(cfg, _dump_json(doc))
-    else:
-        _emit(cfg, f"# {title}\n"
-              + _comment_line("config", cfg.as_embed_dict())
-              + _scalar_csv(body))
-
-
 # --- steady -------------------------------------------------------------------
 
 def cmd_steady(cfg: RunConfig) -> int:
     p = cfg.params()
+    report = validity_report(p, margin=cfg["margin"])
     atom = steady_atom(p)
     rates = rate_set(p)
-    report = validity_report(p, margin=cfg["margin"])
     result = {
         "n_s": steady_phonon(p),
         "rz_s": atom.rz,
@@ -141,7 +136,8 @@ def cmd_steady(cfg: RunConfig) -> int:
         },
         "validity": report.as_dict(),
     }
-    _write_report(cfg, "steady report", result, "result")
+    _write_document(cfg, cfg["output"], lambda: {"result": result},
+                    lambda: _report_csv(result), title="steady report")
     return EXIT_OK
 
 
@@ -164,25 +160,17 @@ def cmd_trajectory(cfg: RunConfig) -> int:
     if cfg["ode"]:
         columns.append("n_ode")
         series.append(reduced_phonon_evolve(p, cfg["n0"], times))
-    rows = list(zip(*series))
-    if cfg["format"] == "csv":
-        lines = [",".join(_cell(float(v)) for v in row) for row in rows]
-        _emit(cfg, _comment_line("config", cfg.as_embed_dict())
-              + ",".join(columns) + "\n"
-              + "\n".join(lines) + "\n")
-    else:
-        doc = {
-            "config": cfg.as_embed_dict(),
-            "columns": columns,
-            "rows": [[float(v) for v in row] for row in rows],
-            "summary": {
-                "n_steady": traj.n_steady,
-                "rz_steady": traj.rz_steady,
-                "cooling_rate": traj.cooling_rate,
-                "phonon_growing": traj.phonon_growing,
-            },
-        }
-        _emit(cfg, _dump_json(doc))
+    rows = [[float(v) for v in row] for row in zip(*series)]
+    summary = {
+        "n_steady": traj.n_steady,
+        "rz_steady": traj.rz_steady,
+        "cooling_rate": traj.cooling_rate,
+        "phonon_growing": traj.phonon_growing,
+    }
+    _write_document(
+        cfg, cfg["output"],
+        lambda: {"columns": columns, "rows": rows, "summary": summary},
+        lambda: _csv_text([columns, *rows]))
     return EXIT_OK
 
 
@@ -247,28 +235,22 @@ def cmd_sweep(cfg: RunConfig) -> int:
         markers.extend(table.error_markers)
         oracle_failed = oracle_failed or table.has_oracle_errors
         path = out_dir / f"{_slug(spec.label)}.{cfg['format']}"
-        if cfg["format"] == "csv":
-            text = (_comment_line("config", cfg.as_embed_dict())
-                    + _comment_line("spec", spec.to_json_dict())
-                    + table.to_csv())
-        else:
-            doc = {"config": cfg.as_embed_dict(), **table.to_json_dict()}
-            text = _dump_json(doc)
-        path.write_text(text, encoding="utf-8")
+        _write_document(cfg, path, table.to_json_dict, table.to_csv,
+                        comments=[("spec", spec.to_json_dict())])
         sys.stdout.write(f"wrote {path}\n")
-    if markers:
-        sys.stderr.write(f"{len(markers)} row error marker(s); first: "
-                         f"{markers[0]}\n")
-        if oracle_failed:
-            return EXIT_ORACLE
-        return EXIT_PHYSICS
-    return EXIT_OK
+    if not markers:
+        return EXIT_OK
+    sys.stderr.write(f"{'oracle error' if oracle_failed else 'error'}: "
+                     f"{len(markers)} row error marker(s); first: "
+                     f"{markers[0]}\n")
+    return EXIT_ORACLE if oracle_failed else EXIT_PHYSICS
 
 
 # --- validate -----------------------------------------------------------------
 
 def cmd_validate(cfg: RunConfig) -> int:
     p = cfg.params()
+    report = validity_report(p, margin=cfg["margin"])
     ns = steady_phonon(p)
     if is_heating(ns):
         raise HeatingRunError(
@@ -279,7 +261,6 @@ def cmd_validate(cfg: RunConfig) -> int:
             "cannot validate where the closed-form phonon number is 0: "
             "the relative error against it is undefined")
     atom = steady_atom(p)
-    report = validity_report(p, margin=cfg["margin"])
     warnings: list[str] = []
     if not report.overall:
         failing = [c.name for c in report.checks if not c.satisfied]
@@ -312,14 +293,17 @@ def cmd_validate(cfg: RunConfig) -> int:
         "validity_overall": report.overall,
         "warnings": warnings,
     }
-    _write_report(cfg, "validation report", body)
+    _write_document(cfg, cfg["output"], lambda: body,
+                    lambda: _report_csv(body), title="validation report")
     return EXIT_OK
 
 
 # --- presets ------------------------------------------------------------------
 
 def cmd_presets(cfg: RunConfig) -> int:
-    _write_report(cfg, "sweep presets", list_presets(), "presets")
+    presets = list_presets()
+    _write_document(cfg, cfg["output"], lambda: {"presets": presets},
+                    lambda: _report_csv(presets), title="sweep presets")
     return EXIT_OK
 
 
@@ -394,6 +378,9 @@ def main(argv=None) -> int:
         return EXIT_PHYSICS
     except OSError as exc:
         sys.stderr.write(f"error: cannot write output: {exc}\n")
+        return EXIT_INVALID_INPUT
+    except OverflowError as exc:        # finite inputs beyond double range
+        sys.stderr.write(f"error: inputs too large to evaluate: {exc}\n")
         return EXIT_INVALID_INPUT
 
 

@@ -13,8 +13,8 @@ class DressedCoolError(Exception):
 
 # --- invalid input -----------------------------------------------------------
 
-class InvalidParamsError(DressedCoolError):
-    """A physical parameter violates its constraint."""
+class InvalidParamsError(DressedCoolError, ValueError):
+    """A physical parameter or model option violates its constraint."""
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -61,6 +62,15 @@ def _cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _csv_text(rows) -> str:
+    """The one CSV encoding of every output table: cells through _cell,
+    a field with a comma, quote or newline quoted as in RFC 4180."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [_cell(v) for v in row] for row in rows)
+    return buf.getvalue()
 
 
 def _json_value(value):
@@ -226,12 +236,12 @@ def _eval_point(spec: SweepSpec, x: float) -> SweepRow:
         fields.update(rz_s=atom.rz, sz_s=atom.sz, two_sz_s=2.0 * atom.sz,
                       c=rates.cooling_rate, a_plus_rate=rates.a_rate_plus,
                       valid=validity_report(p).overall)
-    except DegenerateRatesError as exc:
+    except (DegenerateRatesError, OverflowError) as exc:
         errors.append(_marker(exc))
     else:
         try:
             fields["n_s"] = steady_phonon(p)
-        except ZeroCouplingError as exc:
+        except (ZeroCouplingError, OverflowError) as exc:
             errors.append(_marker(exc))
 
     ns = fields.get("n_s")
@@ -272,12 +282,9 @@ class SweepTable:
         return any(m.startswith(_ORACLE_MARKER) for m in self.error_markers)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow([_cell(getattr(row, c)) for c in self.columns])
-        return buf.getvalue()
+        columns = self.columns
+        return _csv_text([columns] + [[getattr(row, c) for c in columns]
+                                      for row in self.rows])
 
     def to_json_dict(self) -> dict:
         return {
@@ -294,16 +301,18 @@ class SweepTable:
 def run_sweep(spec: SweepSpec, *, workers: int | None = None) -> SweepTable:
     """Evaluate every grid point and assemble rows in ascending-x order.
 
-    For an oracle sweep, workers > 1 maps points over a process pool; the
-    table is assembled in grid-index order afterwards, so the result is
-    identical to the serial one.  Closed-form points cost microseconds,
-    less than shipping them to a worker, so those sweeps always run
-    serially.  Per-point failures never raise: they land in the rows.
+    For an oracle sweep, workers > 1 maps points, one per task, over a
+    pool of at most one process per grid point and per CPU; the table is
+    assembled in grid-index order afterwards, so the result is identical
+    to the serial one.  Closed-form points cost microseconds, less than
+    shipping them to a worker, so those sweeps always run serially.
+    Per-point failures never raise: they land in the rows.
     """
-    if spec.oracle and workers is not None and workers > 1:
+    workers = min(workers or 1, len(spec.grid), os.cpu_count() or 1)
+    if spec.oracle and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_eval_point, [spec] * len(spec.grid),
-                                 spec.grid, chunksize=16))
+                                 spec.grid))
     else:
         rows = [_eval_point(spec, x) for x in spec.grid]
     if len(spec.grid) > 1 and spec.grid[0] > spec.grid[-1]:

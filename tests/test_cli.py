@@ -1,6 +1,8 @@
 """CLI behavior: config resolution, output documents, exit codes,
 byte-for-byte reproducibility from the embedded config echo."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -22,6 +24,7 @@ from dressedcool.config import (
     resolve_config,
     schema_for,
 )
+from dressedcool.sweep import list_presets
 
 # a cold, well-converged operating point used throughout
 BASE_FLAGS = [
@@ -39,6 +42,18 @@ gamma_plus = 1
 gamma_minus = 0.2   # trailing comment
 gamma_zero = 0.2
 """
+
+
+def base_flags(**changes):
+    """BASE_FLAGS with the named values replaced."""
+    args = list(BASE_FLAGS)
+    for name, value in changes.items():
+        args[args.index("--" + name.replace("_", "-")) + 1] = value
+    return args
+
+
+def no_oracle(*args, **kwargs):
+    raise AssertionError("the oracle must not run")
 
 
 def run_cli(args, capsys):
@@ -156,8 +171,6 @@ class TestExitCodes:
                                                      monkeypatch):
         # no heating channel: the closed-form n_s is exactly 0, so the
         # relative error against it is undefined
-        def no_oracle(*args, **kwargs):
-            raise AssertionError("the oracle must not run")
         monkeypatch.setattr(cli, "converged_steady_state", no_oracle)
         args = ["validate", "--omega", "5", "--delta", "0", "--nu", "10",
                 "--eta", "0.02", "--gamma-plus", "1", "--gamma-minus", "0",
@@ -203,6 +216,32 @@ class TestExitCodes:
         assert code == EXIT_INVALID_INPUT
         assert out == ""
         assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("subcommand", ["steady", "validate"])
+    @pytest.mark.parametrize("margin", ["0", "-1", "nan"])
+    def test_bad_margin_is_1(self, subcommand, margin, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "converged_steady_state", no_oracle)
+        code, out, err = run_cli(
+            [subcommand] + BASE_FLAGS + ["--margin", margin], capsys)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err == ("error: margin: must be finite and > 0, "
+                       f"got {float(margin)}\n")
+
+    @pytest.mark.parametrize("subcommand, extra", [
+        ("steady", []),
+        ("trajectory", ["--t-end", "1", "--n0", "1"]),
+        ("validate", []),
+    ])
+    def test_overflowing_point_is_1(self, subcommand, extra, capsys):
+        # finite inputs whose squares exceed the double range
+        code, out, err = run_cli(
+            [subcommand] + base_flags(omega="1e308", delta="1e308") + extra,
+            capsys)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err.startswith("error: inputs too large to evaluate: ")
+        assert err.count("\n") == 1
 
     def test_unknown_flag_is_1(self, capsys):
         code, _, _ = run_cli(["steady", "--bogus", "1"], capsys)
@@ -398,6 +437,39 @@ class TestSweepCommand:
         assert "InvalidParamsError: eta" in text
         assert "ZeroCouplingError" in text
 
+    @pytest.mark.parametrize("variable", ["eta", "nu"])
+    def test_overflowing_rows_marked_scan_continues(self, variable, capsys,
+                                                    tmp_path):
+        # eta**2 overflows in the rate ingredients; a huge nu only in the
+        # steady phonon number, so that row keeps its rates
+        code, _, err = run_cli(
+            ["sweep"] + BASE_FLAGS
+            + ["--variable", variable, "--grid-min", "0.01",
+               "--grid-max", "1e200", "--grid-count", "3",
+               "--out-dir", str(tmp_path)], capsys)
+        assert code == EXIT_PHYSICS
+        assert err.startswith("error: 2 row error marker(s); first: "
+                              "OverflowError")
+        text = (tmp_path / f"{variable}.csv").read_text(encoding="utf-8")
+        header, *rows = csv.reader(io.StringIO(text.split("\n", 2)[2]))
+        cells = [dict(zip(header, row)) for row in rows]
+        assert cells[0]["error"] == "" and float(cells[0]["c"]) > 0
+        for row in cells[1:]:
+            assert row["error"].startswith("OverflowError: ")
+            assert row["n_s"] == ""
+            assert (row["c"] != "") == (variable == "nu")
+
+    def test_dark_sidebands_marked_per_row(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            ["sweep"] + base_flags(gamma_plus="0", gamma_minus="0",
+                                   gamma_zero="1")
+            + ["--variable", "nu", "--grid-min", "8", "--grid-max", "12",
+               "--grid-count", "3", "--out-dir", str(tmp_path)], capsys)
+        assert code == EXIT_PHYSICS
+        assert err.startswith("error: 3 row error marker(s)")
+        text = (tmp_path / "nu.csv").read_text(encoding="utf-8")
+        assert text.count("DegenerateRatesError: ") == 3
+
     def test_oracle_failure_gives_exit_3(self, capsys, tmp_path):
         code, _, err = run_cli(
             ["sweep"] + BASE_FLAGS
@@ -532,6 +604,96 @@ class TestPresetsCommand:
         assert "fig1.grid_count,300" not in out  # detuning scan is 401
         assert "fig1.grid_count,401" in out
         assert "fig2.grid_count,300" in out
+
+
+class TestCsvQuoting:
+    @staticmethod
+    def key_value_rows(out):
+        body = "".join(line for line in out.splitlines(keepends=True)
+                       if not line.startswith("#"))
+        rows = list(csv.reader(io.StringIO(body)))
+        assert rows[0] == ["key", "value"]
+        assert all(len(row) == 2 for row in rows)
+        return dict(rows[1:])
+
+    def test_presets_notes_round_trip(self, capsys):
+        code, out, _ = run_cli(["presets", "--format", "csv"], capsys)
+        assert code == EXIT_OK
+        values = self.key_value_rows(out)
+        note = list_presets()["fig1e"]["note"]
+        assert "," in note
+        assert values["fig1e.note"] == note
+
+    def test_validate_warning_round_trips(self, capsys):
+        code, out, err = run_cli(
+            ["validate"] + base_flags(eta="0.22")
+            + ["--n-max", "8", "--format", "csv"], capsys)
+        assert code == EXIT_OK
+        warning = self.key_value_rows(out)["warnings.0"]
+        assert "drive_below_decay, inversion_adiabatic" in warning
+        assert err == f"warning: {warning}\n"
+
+
+# malformed or unusable inputs across every subcommand; "{tmp}" is a
+# scratch directory holding latin1.cfg, a config file that is not UTF-8
+_TRAJ = ["--t-end", "1", "--n0", "1"]
+_HUGE = base_flags(omega="1e308", delta="1e308")
+_DARK = base_flags(gamma_plus="0", gamma_minus="0", gamma_zero="1")
+_NU_SCAN = ["--variable", "nu", "--grid-min", "8", "--grid-max", "12",
+            "--grid-count", "3", "--out-dir", "{tmp}"]
+MALFORMED = {
+    "steady-margin-0": (["steady", *BASE_FLAGS, "--margin", "0"], 1),
+    "steady-margin-nan": (["steady", *BASE_FLAGS, "--margin", "nan"], 1),
+    "validate-margin-neg": (["validate", *BASE_FLAGS, "--margin", "-1"], 1),
+    "steady-overflow": (["steady", *_HUGE], 1),
+    "trajectory-overflow": (["trajectory", *_HUGE, *_TRAJ], 1),
+    "validate-overflow": (["validate", *_HUGE], 1),
+    "sweep-overflow-rows": (
+        ["sweep", *BASE_FLAGS, "--variable", "eta", "--grid-min", "0.01",
+         "--grid-max", "1e200", "--grid-count", "3", "--out-dir", "{tmp}"],
+        2),
+    "sweep-dark-rows": (["sweep", *_DARK, *_NU_SCAN], 2),
+    "sweep-oracle-rows": (
+        ["sweep", *BASE_FLAGS, *_NU_SCAN, "--oracle", "true",
+         "--oracle-n-max", "40"], 3),
+    "config-missing": (["steady", "--config", "{tmp}/missing.cfg"], 1),
+    "config-not-utf8": (["steady", "--config", "{tmp}/latin1.cfg"], 1),
+    "output-dir-missing": (
+        ["steady", *BASE_FLAGS, "--output", "{tmp}/none/out.json"], 1),
+    "presets-output-dir-missing": (
+        ["presets", "--output", "{tmp}/none/out.json"], 1),
+    "sweep-out-dir-is-file": (
+        ["sweep", "--preset", "fig1", "--out-dir", "{tmp}/latin1.cfg"], 1),
+    "samples-not-integer": (
+        ["trajectory", *BASE_FLAGS, *_TRAJ, "--samples", "2.5"], 1),
+    "t-end-infinite": (
+        ["trajectory", *BASE_FLAGS, "--t-end", "inf", "--n0", "1"], 1),
+    "sweep-grid-nan": (
+        ["sweep", *BASE_FLAGS, *_NU_SCAN, "--grid-max", "nan"], 1),
+    "sweep-oracle-n-max": (
+        ["sweep", "--preset", "fig2", "--oracle", "true",
+         "--oracle-n-max", "1", "--out-dir", "{tmp}"], 1),
+    "validate-n-max": (["validate", *BASE_FLAGS, "--n-max", "1"], 1),
+    "validate-dark": (["validate", *_DARK], 2),
+    "validate-dim-cap": (
+        ["validate", *BASE_FLAGS, "--n-max", "8", "--dim-cap", "8"], 3),
+    "presets-format": (["presets", "--format", "xml"], 1),
+}
+
+
+class TestNoTraceback:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_ends_in_one_error_line(self, case, capsys, tmp_path):
+        argv, expected = MALFORMED[case]
+        (tmp_path / "latin1.cfg").write_bytes("omega = \u00b5\n"
+                                              .encode("latin-1"))
+        code, _, err = run_cli(
+            [a.replace("{tmp}", str(tmp_path)) for a in argv], capsys)
+        assert code == expected and code in (1, 2, 3)
+        lines = err.splitlines()
+        errors = [line for line in lines
+                  if line.startswith(("error:", "oracle error:"))]
+        assert errors == lines[-1:]
 
 
 class TestEntryPoint:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from dressedcool import sweep
 from dressedcool.analytic import is_heating
 from dressedcool.errors import (
     InvalidGridError,
@@ -14,6 +15,7 @@ from dressedcool.params import PhysicalParams
 from dressedcool.sweep import (
     HEATING_SENTINEL,
     PRESET_NAMES,
+    SweepRow,
     SweepSpec,
     grid_from_range,
     list_presets,
@@ -302,6 +304,43 @@ class TestOracleSweeps:
                          gamma_zero_rule="track_gamma_minus",
                          oracle=True, oracle_n_max=8)
         assert run_sweep(spec, workers=2).to_csv() == run_sweep(spec).to_csv()
+
+    @pytest.mark.parametrize("workers, points, cpus, pool_size", [
+        (64, 3, 8, 3),          # bounded by the grid
+        (64, 20, 4, 4),         # bounded by the CPUs
+        (2, 20, 8, 2),          # as asked
+        (64, 20, None, None),   # CPU count unknown: serial
+        (64, 1, 8, None),       # one point: serial
+    ])
+    def test_pool_size_bounded(self, workers, points, cpus, pool_size,
+                               monkeypatch):
+        # a recording stand-in for the pool: no process is started
+        calls = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                calls.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables, **options):
+                assert options == {}    # one point per task
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(sweep, "_eval_point",
+                            lambda spec, x: SweepRow(x=x))
+        spec = SweepSpec(base=BASE, variable="nu",
+                         grid=grid_from_range(8.0, 12.0, points),
+                         oracle=True)
+        tab = run_sweep(spec, workers=workers)
+        assert len(tab.rows) == points
+        assert calls == ([] if pool_size is None else [pool_size])
 
     def test_oracle_rerun_byte_identical(self):
         spec = SweepSpec(base=BASE, variable="gamma_ratio", grid=(0.2, 0.3),
