@@ -11,7 +11,7 @@ d<n>/dt = -C <n> + A_plus, which is what the functions below evaluate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -352,11 +352,6 @@ class ValidityCheck:
     ratio: float
     satisfied: bool
 
-    def as_dict(self) -> dict:
-        return {"name": self.name, "kind": self.kind, "lhs": self.lhs,
-                "rhs": self.rhs, "ratio": self.ratio,
-                "satisfied": self.satisfied}
-
 
 @dataclass(frozen=True)
 class ValidityReport:
@@ -378,9 +373,9 @@ class ValidityReport:
         raise KeyError(name)
 
     def as_dict(self) -> dict:
-        return {"margin": self.margin, "overall": self.overall,
-                "transient_time": self.transient_time,
-                "checks": [c.as_dict() for c in self.checks]}
+        """Every field, each check as a dict of its fields, for embedding
+        in outputs."""
+        return asdict(self)
 
 
 def _much_greater(name: str, lhs: float, rhs: float, margin: float) -> ValidityCheck:

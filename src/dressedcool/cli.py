@@ -149,6 +149,9 @@ def cmd_trajectory(cfg: RunConfig) -> int:
         raise InvalidGridError(f"t_end must be > 0, got {cfg['t_end']}")
     if cfg["samples"] < 2:
         raise InvalidGridError(f"samples must be >= 2, got {cfg['samples']}")
+    for key in ("n0", "rz0", "re_rplus0", "im_rplus0"):
+        if not math.isfinite(cfg[key]):
+            raise InvalidParamsError(key, f"must be finite, got {cfg[key]}")
     times = np.linspace(0.0, cfg["t_end"], cfg["samples"])
     init = DressedInit(rz=cfg["rz0"],
                        rplus=complex(cfg["re_rplus0"], cfg["im_rplus0"]),
@@ -250,6 +253,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_validate(cfg: RunConfig) -> int:
     p = cfg.params()
+    if not 0.0 <= cfg["threshold"] < math.inf:
+        raise InvalidParamsError(
+            "threshold", f"must be finite and >= 0, got {cfg['threshold']}")
     report = validity_report(p, margin=cfg["margin"])
     ns = steady_phonon(p)
     if is_heating(ns):

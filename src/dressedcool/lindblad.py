@@ -46,6 +46,8 @@ __all__ = [
     "RESIDUAL_TOL",
     "SVD_DIM_MAX",
     "CONVERGENCE_REL_TOL",
+    "ESCALATION_STEP",
+    "TAIL_MASS_LIMIT",
     "Liouvillian",
     "EvolveResult",
     "SteadyStateResult",
@@ -55,7 +57,6 @@ __all__ = [
     "steady_state",
     "converged_steady_state",
     "reduced_phonon_evolve",
-    "vacuum_phonon",
     "thermal_phonon",
     "product_state",
 ]
@@ -69,10 +70,14 @@ DEFAULT_DIM_CAP = 128
 # Fixed certificate thresholds: every steady state needs a reciprocal
 # condition estimate of the trace-constrained solve of at least RCOND_FLOOR
 # and a kernel residual (infinity norm) of at most RESIDUAL_TOL; the Fock-cut
-# escalation accepts once <b'b> changes by less than CONVERGENCE_REL_TOL.
+# escalation raises n_max by ESCALATION_STEP per solve and accepts once
+# <b'b> changes by less than CONVERGENCE_REL_TOL; an evolution fails once
+# the top two Fock levels hold more than TAIL_MASS_LIMIT at any sample.
 RCOND_FLOOR = 1e-12
 RESIDUAL_TOL = 1e-10
 CONVERGENCE_REL_TOL = 1e-4
+ESCALATION_STEP = 4
+TAIL_MASS_LIMIT = 1e-6
 
 # A failed steady-state solve reports the generator's two smallest singular
 # values only up to this Hilbert dimension: the dense SVD of the D^2 x D^2
@@ -136,19 +141,17 @@ class Liouvillian:
         return out
 
     def expectations(self, rho: np.ndarray):
-        """(rz, rplus, n, tail_mass) for one density matrix."""
+        """(rz, rplus, n, tail_mass) for one density matrix; tail_mass is
+        the total population of the top two Fock levels (both dressed
+        levels)."""
         rz = np.trace(self.rz_op @ rho).real
         rplus = np.trace(rho @ self.rplus_op)
         n = np.trace(self.number_op @ rho).real
-        return rz, rplus, n, self.tail_mass(rho)
-
-    def tail_mass(self, rho: np.ndarray) -> float:
-        """Total population of the top two Fock levels (both dressed levels)."""
         levels = self.n_max + 1
         pops = np.diag(rho).real
         idx = [self.n_max - 1, self.n_max,
                levels + self.n_max - 1, levels + self.n_max]
-        return float(pops[idx].sum())
+        return rz, rplus, n, float(pops[idx].sum())
 
 
 def build_liouvillian(p: PhysicalParams, n_max: int, *,
@@ -235,14 +238,9 @@ def build_liouvillian(p: PhysicalParams, n_max: int, *,
 
 # --- initial states -----------------------------------------------------------
 
-def vacuum_phonon(n_max: int) -> np.ndarray:
-    rho = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    rho[0, 0] = 1.0
-    return rho
-
-
 def thermal_phonon(n_max: int, nbar: float, cut: int | None = None) -> np.ndarray:
-    """Thermal phonon state with mean occupation nbar before truncation.
+    """Thermal phonon state with mean occupation nbar before truncation;
+    nbar = 0 gives the vacuum.
 
     `cut` zeroes all populations above that level (hard cutoff) before
     renormalizing; by default the geometric weights run to n_max.
@@ -268,16 +266,25 @@ def product_state(atom: np.ndarray, phonon: np.ndarray) -> np.ndarray:
     return np.kron(atom, np.asarray(phonon, dtype=complex))
 
 
+def _health(rho: np.ndarray) -> tuple[float, float, float]:
+    """(trace error, Hermiticity defect, minimum eigenvalue of the
+    Hermitian part) of one density matrix."""
+    return (abs(np.trace(rho).real - 1.0),
+            np.abs(rho - rho.conj().T).max(),
+            np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
+
+
 def _validate_state(rho: np.ndarray, dim: int) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise InvalidParamsError(
             "rho0", f"state must be {dim}x{dim}, got {rho.shape}")
-    if np.abs(rho - rho.conj().T).max() > 1e-12:
+    trace_err, herm_defect, min_eig = _health(rho)
+    if herm_defect > 1e-12:
         raise InvalidParamsError("rho0", "state is not Hermitian (defect > 1e-12)")
-    if abs(np.trace(rho).real - 1.0) > 1e-8:
+    if trace_err > 1e-8:
         raise InvalidParamsError("rho0", "state trace differs from 1 by > 1e-8")
-    if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < -1e-10:
+    if min_eig < -1e-10:
         raise InvalidParamsError("rho0", "state has eigenvalue below -1e-10")
     return rho
 
@@ -305,14 +312,14 @@ class EvolveResult:
 
 
 def evolve(liouv: Liouvillian, rho0: np.ndarray, t_end: float, *,
-           t_eval=None, n_samples: int = 201, rtol: float = 1e-9,
-           atol: float = 1e-11, tail_limit: float | None = 1e-6) -> EvolveResult:
+           n_samples: int = 201, rtol: float = 1e-9,
+           atol: float = 1e-11) -> EvolveResult:
     """Integrate d(rho)/dt = L rho from a validated initial state.
 
     Adaptive high-order Runge-Kutta stepping controlled by rtol/atol only.
-    t_end = 0 returns the initial state. The sparse generator drives the
-    right-hand side; observables are read off at the sample times
-    (default: n_samples equally spaced points including both ends).
+    The sparse generator drives the right-hand side; observables are read
+    off at n_samples equally spaced times including both ends. t_end = 0
+    returns the initial state as the one sample.
 
     One caveat on the min_eig diagnostic: the second-order recoil
     correction makes the generator only approximately completely
@@ -324,27 +331,23 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray, t_end: float, *,
     Raises
     ------
     TruncationBreachError
-        If the top-two-Fock-level population exceeds tail_limit at any
-        sample (pass tail_limit=None to disable).
+        If the top-two-Fock-level population exceeds the fixed
+        TAIL_MASS_LIMIT (1e-6) at any sample.
     OracleError
         If the integrator reports failure.
     """
     rho0 = _validate_state(rho0, liouv.dim)
     if not math.isfinite(t_end) or t_end < 0:
         raise InvalidGridError(f"t_end must be finite and >= 0, got {t_end}")
-    if t_eval is None:
-        t_eval = np.linspace(0.0, t_end, n_samples) if t_end > 0 else np.array([0.0])
-    else:
-        t_eval = _check_times(t_eval)
-        if t_eval[-1] > t_end:
-            raise InvalidGridError("t_eval reaches past t_end")
 
     dim = liouv.dim
     if t_end == 0.0:
+        times = np.array([0.0])
         raw = rho0[np.newaxis, :, :]
     else:
+        times = np.linspace(0.0, t_end, n_samples)
         sol = solve_ivp(lambda t, y: liouv.matrix @ y, (0.0, float(t_end)),
-                        _vec(rho0), method="DOP853", t_eval=t_eval,
+                        _vec(rho0), method="DOP853", t_eval=times,
                         rtol=rtol, atol=atol)
         if not sol.success:
             raise OracleError(f"integration failed: {sol.message}")
@@ -363,16 +366,14 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray, t_end: float, *,
     for i in range(k):
         rho = raw[i]
         rz[i], rplus[i], n[i], tail[i] = liouv.expectations(rho)
-        trace_err[i] = abs(np.trace(rho).real - 1.0)
-        herm[i] = np.abs(rho - rho.conj().T).max()
-        min_eig[i] = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
-    if tail_limit is not None and tail.max() > tail_limit:
+        trace_err[i], herm[i], min_eig[i] = _health(rho)
+    if tail.max() > TAIL_MASS_LIMIT:
         worst = int(np.argmax(tail))
         raise TruncationBreachError(
             f"top-two Fock population {tail[worst]:.3e} exceeds "
-            f"{tail_limit:.1e} at t = {np.asarray(t_eval)[worst]:.6g}; "
+            f"{TAIL_MASS_LIMIT:.1e} at t = {times[worst]:.6g}; "
             f"raise n_max (currently {liouv.n_max})")
-    return EvolveResult(times=np.asarray(t_eval, dtype=float), states=raw,
+    return EvolveResult(times=times, states=raw,
                         rz=rz, rplus=rplus, n=n, tail_mass=tail,
                         trace_err=trace_err, herm_defect=herm,
                         min_eig=min_eig, n_max=liouv.n_max)
@@ -528,14 +529,14 @@ class ConvergenceRun:
 
 
 def converged_steady_state(p: PhysicalParams, *, n_max_start: int = 12,
-                           step: int = 4,
                            dim_cap: int = 64) -> ConvergenceRun:
     """steady_state with n_max escalation until the phonon number settles.
 
-    Solves at n_max_start, then n_max_start + step, ..., accepting once the
-    relative change of ⟨b†b⟩ between consecutive sizes drops below the
-    fixed CONVERGENCE_REL_TOL (1e-4). Every solve carries steady_state's
-    fixed certificates (RCOND_FLOOR, RESIDUAL_TOL).
+    Solves at n_max_start, then n_max_start + ESCALATION_STEP, ... (a
+    fixed step of 4 levels), accepting once the relative change of ⟨b†b⟩
+    between consecutive sizes drops below the fixed CONVERGENCE_REL_TOL
+    (1e-4). Every solve carries steady_state's fixed certificates
+    (RCOND_FLOOR, RESIDUAL_TOL).
     The default cap is tighter than build_liouvillian's because the loop
     builds every size on the way up; hot parameter points that need more
     room must raise dim_cap explicitly.
@@ -549,7 +550,7 @@ def converged_steady_state(p: PhysicalParams, *, n_max_start: int = 12,
     prev = steady_state(build_liouvillian(p, n_max, dim_cap=dim_cap))
     history = [(n_max, prev.n)]
     while True:
-        n_next = n_max + step
+        n_next = n_max + ESCALATION_STEP
         if 2 * (n_next + 1) > dim_cap:
             raise TruncationBreachError(
                 f"phonon number not converged at dimension cap {dim_cap}; "

@@ -8,7 +8,7 @@ which convention the caller declared (see the CLI's ``reference_rate`` key).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .errors import InvalidParamsError
 
@@ -46,8 +46,7 @@ class PhysicalParams:
     gamma_zero: float
 
     def __post_init__(self):
-        for name in ("omega", "delta", "nu", "eta",
-                     "gamma_plus", "gamma_minus", "gamma_zero"):
+        for name in _FIELD_NAMES:
             value = getattr(self, name)
             try:
                 value = float(value)
@@ -80,9 +79,12 @@ class PhysicalParams:
 
     def as_dict(self) -> dict[str, float]:
         """Field values in declaration order, for embedding in outputs."""
-        return {name: getattr(self, name) for name in
-                ("omega", "delta", "nu", "eta",
-                 "gamma_plus", "gamma_minus", "gamma_zero")}
+        return asdict(self)
+
+
+# read once, not per construction: every grid point of a sweep builds a
+# PhysicalParams, and dataclasses.fields is slow next to that
+_FIELD_NAMES = tuple(f.name for f in fields(PhysicalParams))
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from .params import PhysicalParams
 SWEEP_VARIABLES = ("delta", "gamma_ratio", "nu", "eta", "omega")
 GAMMA_ZERO_RULES = ("track_gamma_minus", "fixed")
 
-# Canonical column order; "x" leads and "error" trails unconditionally.
+# The closed-form value columns, in table order between "x" and "valid".
 VALUE_COLUMNS = ("n_s", "rz_s", "sz_s", "two_sz_s", "c", "a_plus_rate")
 HEATING_SENTINEL = "HEATING"
 # prefix of the error markers left by a failed oracle solve
@@ -127,16 +127,16 @@ class SweepSpec:
     gamma_ratio sweeps set gamma_minus = x * gamma_plus and need an
     explicit rule for gamma_zero: "track_gamma_minus" ties it to
     gamma_minus (the symmetric-reservoir convention), "fixed" keeps the
-    base value.  observables selects which value columns appear; order
-    stays canonical regardless.  oracle=True adds a kernel-solve phonon
-    column (skipped on heating rows, where no stationary state exists).
+    base value.  The columns are fixed: x, every VALUE_COLUMNS entry,
+    valid, then error.  oracle=True adds a kernel-solve phonon column,
+    oracle_n_s, before error (skipped on heating rows, where no
+    stationary state exists).
     """
 
     base: PhysicalParams
     variable: str
     grid: tuple[float, ...]
     gamma_zero_rule: str | None = None
-    observables: tuple[str, ...] = VALUE_COLUMNS
     oracle: bool = False
     oracle_n_max: int = 12
     label: str = ""
@@ -160,25 +160,14 @@ class SweepSpec:
                 f"gamma_zero_rule only applies to gamma_ratio sweeps, "
                 f"not {self.variable!r}")
         object.__setattr__(self, "grid", _checked_grid(self.grid))
-        bad = [o for o in self.observables if o not in VALUE_COLUMNS]
-        if bad:
-            raise InvalidParamsError(
-                "observables",
-                f"unknown observables {bad}; choose from {VALUE_COLUMNS}")
-        # canonical order, duplicates dropped
-        object.__setattr__(
-            self, "observables",
-            tuple(o for o in VALUE_COLUMNS if o in self.observables))
         if self.oracle and self.oracle_n_max < 2:
             raise InvalidParamsError(
                 "oracle_n_max", f"needs >= 2, got {self.oracle_n_max}")
 
     @property
     def columns(self) -> tuple[str, ...]:
-        cols = ("x",) + self.observables + ("valid",)
-        if self.oracle:
-            cols = cols + ("oracle_n_s",)
-        return cols + ("error",)
+        oracle_cols = ("oracle_n_s",) if self.oracle else ()
+        return ("x", *VALUE_COLUMNS, "valid", *oracle_cols, "error")
 
     def params_at(self, x: float) -> PhysicalParams:
         """Base parameters with the swept variable set to x."""
@@ -195,7 +184,10 @@ class SweepSpec:
             "variable": self.variable,
             "grid": list(self.grid),
             "gamma_zero_rule": self.gamma_zero_rule,
-            "observables": list(self.observables),
+            # the value columns are fixed; the member stays so that
+            # every spec echo, and with it every sweep document, keeps
+            # its bytes
+            "observables": list(VALUE_COLUMNS),
             "oracle": self.oracle,
             "oracle_n_max": self.oracle_n_max,
             "label": self.label,
@@ -267,11 +259,6 @@ class SweepTable:
     @property
     def columns(self) -> tuple[str, ...]:
         return self.spec.columns
-
-    def column(self, name: str) -> list:
-        if name not in self.columns:
-            raise KeyError(name)
-        return [getattr(row, name) for row in self.rows]
 
     @property
     def error_markers(self) -> list[str]:

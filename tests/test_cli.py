@@ -2,6 +2,7 @@
 byte-for-byte reproducibility from the embedded config echo."""
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -227,6 +228,30 @@ class TestExitCodes:
         assert out == ""
         assert err == ("error: margin: must be finite and > 0, "
                        f"got {float(margin)}\n")
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-0.1"])
+    def test_bad_threshold_is_1(self, threshold, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "converged_steady_state", no_oracle)
+        code, out, err = run_cli(
+            ["validate"] + BASE_FLAGS + ["--threshold", threshold], capsys)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err == ("error: threshold: must be finite and >= 0, "
+                       f"got {float(threshold)}\n")
+
+    @pytest.mark.parametrize("key, value", [
+        ("n0", "nan"), ("rz0", "inf"), ("re_rplus0", "-inf"),
+        ("im_rplus0", "nan"),
+    ])
+    def test_non_finite_initial_state_is_1(self, key, value, capsys):
+        initial = {"n0": "1", key: value}
+        code, out, err = run_cli(
+            ["trajectory"] + BASE_FLAGS + ["--t-end", "1"]
+            + [f"--{k.replace('_', '-')}={v}" for k, v in initial.items()],
+            capsys)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err == f"error: {key}: must be finite, got {float(value)}\n"
 
     @pytest.mark.parametrize("subcommand, extra", [
         ("steady", []),
@@ -645,6 +670,12 @@ MALFORMED = {
     "steady-margin-0": (["steady", *BASE_FLAGS, "--margin", "0"], 1),
     "steady-margin-nan": (["steady", *BASE_FLAGS, "--margin", "nan"], 1),
     "validate-margin-neg": (["validate", *BASE_FLAGS, "--margin", "-1"], 1),
+    "validate-threshold-nan": (
+        ["validate", *BASE_FLAGS, "--threshold", "nan"], 1),
+    "trajectory-n0-nan": (
+        ["trajectory", *BASE_FLAGS, "--t-end", "1", "--n0", "nan"], 1),
+    "trajectory-rz0-inf": (
+        ["trajectory", *BASE_FLAGS, *_TRAJ, "--rz0", "inf"], 1),
     "steady-overflow": (["steady", *_HUGE], 1),
     "trajectory-overflow": (["trajectory", *_HUGE, *_TRAJ], 1),
     "validate-overflow": (["validate", *_HUGE], 1),
@@ -694,6 +725,64 @@ class TestNoTraceback:
         errors = [line for line in lines
                   if line.startswith(("error:", "oracle error:"))]
         assert errors == lines[-1:]
+
+
+# case: (argv, sha256 as json, sha256 as csv) of closed-form documents
+# as cli.main writes them: stdout, then every written file (relative
+# name and bytes) in sorted order.  Any change to an output byte fails
+# here.  trajectory (vectorized np.exp) and validate (sparse LU) are left
+# out: their last digits may depend on the machine.
+PINNED_DOCUMENTS = {
+    "presets": (
+        ["presets"],
+        "24d3b615827df40eb56c25b80604ba2b3022163112f072f23c93a05cb6ebab00",
+        "55f5e5b59d80c10a577acb8bf41f8bd0c3388337b47d64d614c877bf911df8b0"),
+    "steady": (
+        ["steady", *BASE_FLAGS],
+        "7609431968e58b3eb3df97a5517eb84742fde80fdfda0c78823c46804914e474",
+        "bd441ca4f2f9a5c326056733d3f218154b5eee4de6bc7af316d01b46eb933b06"),
+    "steady-gamma-minus-2": (
+        ["steady", *base_flags(gamma_minus="2")],
+        "1412da7780e644897b1a1a93ff70ad26d8143cb44087a046e57c5a0a1552ea27",
+        "5711680e82174328cdc5ef3c06b6826fb52e60004ac6f03b25a1013b0599384e"),
+    "sweep-fig1": (
+        ["sweep", "--preset", "fig1", "--out-dir", "runs"],
+        "fb8d98a0219d99232262efb73ab18a3165b93da22bfa4c2ea03c53f1e870402f",
+        "d91d376afb09b8b90c97e922a5de2f8ed4713ccc5d09e45adbb53a4c4f49d264"),
+    "sweep-fig1e": (
+        ["sweep", "--preset", "fig1e", "--out-dir", "runs"],
+        "b29e2717ebc9e7ebf74862c0353143c2dd472a76c0ab114f2b06c17d6212f552",
+        "153386e54af0a8e1e0a739681c2e84515e806767a7ae28b90515e33d3ca68786"),
+    "sweep-fig2": (
+        ["sweep", "--preset", "fig2", "--out-dir", "runs"],
+        "4f47642255848394ff04b56d1e361a4a40464989e761a367ad314175bde5481d",
+        "238f1291309805b219c079d85dbfe0a88943c986336bbb195758dcec1371f217"),
+    "sweep-fig3": (
+        ["sweep", "--preset", "fig3", "--out-dir", "runs"],
+        "987a248a2bcb5fff9442c29f172ab460b6dedf4e5d5a7b4133c4e7bc336bc436",
+        "73cef0846ef37e1d0ea95e051c74d7df3335c776417fc8d9250669fba5aa8d5b"),
+}
+
+
+def document_digest(argv, capsys, tmp_path, monkeypatch) -> str:
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (EXIT_OK, "")
+    digest = hashlib.sha256(out.encode("utf-8"))
+    for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(tmp_path).as_posix().encode("utf-8"))
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+class TestPinnedDocuments:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("case", sorted(PINNED_DOCUMENTS))
+    def test_bytes_unchanged(self, case, fmt, capsys, tmp_path, monkeypatch):
+        argv, json_digest, csv_digest = PINNED_DOCUMENTS[case]
+        got = document_digest(argv + ["--format", fmt], capsys, tmp_path,
+                              monkeypatch)
+        assert got == (json_digest if fmt == "json" else csv_digest)
 
 
 class TestEntryPoint:

@@ -65,16 +65,6 @@ class TestSpecValidation:
         with pytest.raises(InvalidGridError):
             grid_from_range(0.0, 1.0, 0)
 
-    def test_unknown_observable(self):
-        with pytest.raises(InvalidParamsError) as err:
-            small_spec(observables=("n_s", "bogus"))
-        assert err.value.field == "observables"
-
-    def test_observables_canonical_order(self):
-        spec = small_spec(observables=("c", "n_s", "c"))
-        assert spec.observables == ("n_s", "c")
-        assert spec.columns == ("x", "n_s", "c", "valid", "error")
-
     def test_oracle_n_max_floor(self):
         with pytest.raises(InvalidParamsError) as err:
             small_spec(oracle=True, oracle_n_max=1)
@@ -104,12 +94,12 @@ class TestRunSweep:
     def test_row_count_matches_grid(self):
         tab = run_sweep(small_spec())
         assert len(tab.rows) == 7
-        assert tab.column("x") == list(small_spec().grid)
+        assert [r.x for r in tab.rows] == list(small_spec().grid)
 
     def test_descending_grid_emitted_ascending(self):
         up = run_sweep(small_spec())
         down = run_sweep(small_spec(grid=tuple(reversed(small_spec().grid))))
-        assert down.column("x") == up.column("x")
+        assert [r.x for r in down.rows] == [r.x for r in up.rows]
         assert down.to_csv() == up.to_csv()
 
     def test_per_row_errors_do_not_abort(self):
@@ -136,13 +126,6 @@ class TestRunSweep:
         spec = small_spec()
         assert run_sweep(spec).to_csv() == run_sweep(spec).to_csv()
         assert run_sweep(spec).to_json() == run_sweep(spec).to_json()
-
-    def test_column_accessor_rejects_unknown(self):
-        tab = run_sweep(small_spec())
-        with pytest.raises(KeyError):
-            tab.column("nope")
-        with pytest.raises(KeyError):
-            tab.column("oracle_n_s")   # not an oracle sweep
 
 
 class TestPresets:
