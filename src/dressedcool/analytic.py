@@ -17,8 +17,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (DegenerateRatesError, InvalidGridError,
-                     InvalidParamsError, ZeroCouplingError)
-from .params import DressedFrame, PhysicalParams, dressed_frame
+                     InvalidParamsError, OracleError, ZeroCouplingError)
+from .params import (RECOIL_SECOND_MOMENT, DressedFrame, PhysicalParams,
+                     dressed_frame)
 
 __all__ = [
     "RECOIL_SECOND_MOMENT",
@@ -37,12 +38,9 @@ __all__ = [
     "cooling_rate",
     "steady_phonon",
     "trajectory",
+    "reduced_phonon_evolve",
     "validity_report",
 ]
-
-# Second moment of the dipole emission pattern (3/8) * integral of
-# x^2 (1 + x^2) over [-1, 1]; weights the recoil diffusion terms.
-RECOIL_SECOND_MOMENT = 2.0 / 5.0
 
 # r11 - r22 below this is treated as exact population balance (heating).
 _BALANCE_TOL = 1e-14
@@ -238,25 +236,20 @@ class DressedInit:
 
 @dataclass(frozen=True)
 class BareInit:
-    """Initial conditions in the bare basis.
-
-    sminus defaults to the conjugate of splus (any physical state satisfies
-    that); pass it explicitly only to override.
-    """
+    """Initial conditions in the bare basis; <S_-> is the conjugate of
+    splus, as in any physical state."""
 
     sz: float
     splus: complex = 0.0 + 0.0j
-    sminus: complex | None = None
     n: float = 0.0
 
     def to_dressed(self, frame: DressedFrame) -> DressedInit:
-        sm = self.sminus if self.sminus is not None else self.splus.conjugate()
+        sm = self.splus.conjugate()
         rz = frame.cos_2theta * self.sz + frame.sin_2theta * (self.splus + sm)
         rplus = (frame.cos2_theta * self.splus
                  - frame.sin2_theta * sm
                  - frame.sin_2theta * self.sz)
-        return DressedInit(rz=float(rz.real) if isinstance(rz, complex) else float(rz),
-                           rplus=complex(rplus), n=self.n)
+        return DressedInit(rz=float(rz.real), rplus=complex(rplus), n=self.n)
 
 
 @dataclass(frozen=True)
@@ -333,6 +326,31 @@ def trajectory(p: PhysicalParams,
         gamma_perp=rates.gamma_perp, gamma_s=rates.gamma_s,
         phonon_growing=(c < 0.0 or (c == 0.0 and a_plus_rate > 0.0)),
     )
+
+
+def reduced_phonon_evolve(p: PhysicalParams, n0: float, times) -> np.ndarray:
+    """Integrate d<n>/dt = -C <n> + A_plus numerically on the given grid.
+
+    This is an actual ODE solve, not the exponential closed form, so it
+    independently checks the analytic trajectory expression; an
+    integrator failure raises OracleError.
+    """
+    # scipy is imported here, not at module level, so that importing the
+    # closed form costs numpy only
+    from scipy.integrate import solve_ivp
+
+    t = _check_times(times)
+    rates = rate_set(p)
+    c = rates.cooling_rate
+    source = rates.a_rate_plus
+    n0 = float(n0)
+    if t[-1] == 0.0:
+        return np.array([n0])
+    sol = solve_ivp(lambda tt, y: -c * y + source, (0.0, float(t[-1])),
+                    [n0], method="DOP853", t_eval=t, rtol=1e-12, atol=1e-14)
+    if not sol.success:
+        raise OracleError(f"reduced-model integration failed: {sol.message}")
+    return sol.y[0]
 
 
 # --- validity diagnostics ----------------------------------------------------

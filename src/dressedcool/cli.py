@@ -23,6 +23,7 @@ from .analytic import (
     DressedInit,
     is_heating,
     rate_set,
+    reduced_phonon_evolve,
     steady_atom,
     steady_phonon,
     trajectory,
@@ -37,15 +38,17 @@ from .config import (
     schema_for,
 )
 from .errors import (
+    EXIT_INVALID_INPUT,
+    EXIT_OK,
+    EXIT_ORACLE,
+    EXIT_PHYSICS,
     ConfigError,
     DressedCoolError,
     HeatingRunError,
     InvalidGridError,
     InvalidParamsError,
-    OracleError,
-    UnknownPresetError,
 )
-from .lindblad import converged_steady_state, reduced_phonon_evolve
+from .lindblad import converged_steady_state
 from .sweep import (
     SweepSpec,
     _cell,
@@ -58,10 +61,12 @@ from .sweep import (
     run_sweep,
 )
 
-EXIT_OK = 0
-EXIT_INVALID_INPUT = 1
-EXIT_PHYSICS = 2
-EXIT_ORACLE = 3
+
+def _fail(code: int, text: str) -> int:
+    """End stderr with the one error line of a failed run; return code."""
+    sys.stderr.write(
+        f"{'oracle error' if code == EXIT_ORACLE else 'error'}: {text}\n")
+    return code
 
 
 # --- the one document writer --------------------------------------------------
@@ -125,15 +130,9 @@ def cmd_steady(cfg: RunConfig) -> int:
         "r11_s": atom.r11,
         "r22_s": atom.r22,
         "cooling_rate": rates.cooling_rate,
-        "rates": {
-            "gamma_perp": rates.gamma_perp,
-            "gamma_s": rates.gamma_s,
-            "gamma_0_eff": rates.gamma_0_eff,
-            "a_minus": rates.a_minus,
-            "a_plus": rates.a_plus,
-            "a_rate_minus": rates.a_rate_minus,
-            "a_rate_plus": rates.a_rate_plus,
-        },
+        "rates": {name: getattr(rates, name) for name in (
+            "gamma_perp", "gamma_s", "gamma_0_eff", "a_minus", "a_plus",
+            "a_rate_minus", "a_rate_plus")},
         "validity": report.as_dict(),
     }
     _write_document(cfg, cfg["output"], lambda: {"result": result},
@@ -180,17 +179,16 @@ def cmd_trajectory(cfg: RunConfig) -> int:
 # --- sweep --------------------------------------------------------------------
 
 def _slug(label: str) -> str:
-    out = []
-    for ch in label:
-        out.append(ch if ch.isalnum() or ch in "-_" else "_")
-    return "".join(out)
+    return "".join(ch if ch.isalnum() or ch in "-_" else "_" for ch in label)
 
 
+# keys a custom sweep must set, in schema order
+_CUSTOM_REQUIRED = ("variable", "grid_min", "grid_max",
+                    "grid_count") + PARAM_KEY_NAMES
 # keys only custom sweeps use; a preset run must leave each at its schema
 # default, but re-feeding an embedded config echo (which spells the
 # defaults out) stays legal
-_CUSTOM_ONLY = ("variable", "grid_min", "grid_max", "grid_count",
-                "gamma_zero_rule") + PARAM_KEY_NAMES
+_CUSTOM_ONLY = _CUSTOM_REQUIRED + ("gamma_zero_rule",)
 
 
 def _sweep_specs(cfg: RunConfig) -> tuple[SweepSpec, ...]:
@@ -204,16 +202,9 @@ def _sweep_specs(cfg: RunConfig) -> tuple[SweepSpec, ...]:
                 f"remove: {', '.join(clash)}")
         return preset_sweeps(cfg["preset"], oracle=cfg["oracle"],
                              oracle_n_max=cfg["oracle_n_max"])
-    missing = [k for k in PARAM_KEY_NAMES if cfg[k] is None]
+    missing = [k for k in _CUSTOM_REQUIRED if k not in cfg.provided]
     if missing:
-        raise ConfigError(
-            f"custom sweeps need the base parameters; missing: "
-            f"{', '.join(missing)}")
-    if not cfg["variable"]:
-        raise ConfigError("custom sweeps need 'variable'")
-    for k in ("grid_min", "grid_max", "grid_count"):
-        if k not in cfg.provided:
-            raise ConfigError(f"custom sweeps need '{k}'")
+        raise ConfigError(f"custom sweeps need: {', '.join(missing)}")
     spec = SweepSpec(
         base=cfg.params(),
         variable=cfg["variable"],
@@ -243,10 +234,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
         sys.stdout.write(f"wrote {path}\n")
     if not markers:
         return EXIT_OK
-    sys.stderr.write(f"{'oracle error' if oracle_failed else 'error'}: "
-                     f"{len(markers)} row error marker(s); first: "
-                     f"{markers[0]}\n")
-    return EXIT_ORACLE if oracle_failed else EXIT_PHYSICS
+    return _fail(EXIT_ORACLE if oracle_failed else EXIT_PHYSICS,
+                 f"{len(markers)} row error marker(s); first: {markers[0]}")
 
 
 # --- validate -----------------------------------------------------------------
@@ -372,22 +361,13 @@ def main(argv=None) -> int:
         cfg = resolve_config(args.subcommand, file_values, flag_values)
         handler, _ = _COMMANDS[args.subcommand]
         return handler(cfg)
-    except (ConfigError, InvalidParamsError, InvalidGridError,
-            UnknownPresetError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID_INPUT
-    except OracleError as exc:
-        sys.stderr.write(f"oracle error: {exc}\n")
-        return EXIT_ORACLE
     except DressedCoolError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PHYSICS
+        return _fail(exc.exit_code, str(exc))
     except OSError as exc:
-        sys.stderr.write(f"error: cannot write output: {exc}\n")
-        return EXIT_INVALID_INPUT
+        return _fail(EXIT_INVALID_INPUT, f"cannot write output: {exc}")
     except OverflowError as exc:        # finite inputs beyond double range
-        sys.stderr.write(f"error: inputs too large to evaluate: {exc}\n")
-        return EXIT_INVALID_INPUT
+        return _fail(EXIT_INVALID_INPUT,
+                     f"inputs too large to evaluate: {exc}")
 
 
 def run() -> None:

@@ -1,20 +1,28 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the exit codes.
 
 Three families matter to callers: bad input, physically meaningless requests,
-and oracle (numerical) failures. The CLI maps them to exit codes 1, 2 and 3.
+and oracle (numerical) failures. Their CLI exit codes live on the classes,
+as the class attribute ``exit_code``: 1, 2 and 3 (0 is a clean run).
 """
 
 from __future__ import annotations
 
+EXIT_OK = 0
+EXIT_INVALID_INPUT = 1
+EXIT_PHYSICS = 2
+EXIT_ORACLE = 3
+
 
 class DressedCoolError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors (physics-domain unless overridden)."""
+    exit_code = EXIT_PHYSICS
 
 
 # --- invalid input -----------------------------------------------------------
 
 class InvalidParamsError(DressedCoolError, ValueError):
     """A physical parameter or model option violates its constraint."""
+    exit_code = EXIT_INVALID_INPUT
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
@@ -23,14 +31,17 @@ class InvalidParamsError(DressedCoolError, ValueError):
 
 class ConfigError(DressedCoolError):
     """Malformed config file, unknown key, or inconsistent options."""
+    exit_code = EXIT_INVALID_INPUT
 
 
 class InvalidGridError(DressedCoolError):
     """Empty, non-finite, or non-monotone evaluation grid."""
+    exit_code = EXIT_INVALID_INPUT
 
 
 class UnknownPresetError(DressedCoolError):
     """Requested sweep preset does not exist."""
+    exit_code = EXIT_INVALID_INPUT
 
 
 # --- physics-domain errors ---------------------------------------------------
@@ -53,6 +64,7 @@ class HeatingRunError(DressedCoolError):
 
 class OracleError(DressedCoolError):
     """Base class for numerical (master-equation) failures."""
+    exit_code = EXIT_ORACLE
 
 
 class DimensionOverflowError(OracleError):

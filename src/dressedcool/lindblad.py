@@ -29,7 +29,6 @@ import scipy.sparse
 import scipy.sparse.linalg
 from scipy.integrate import solve_ivp
 
-from .analytic import RECOIL_SECOND_MOMENT, _check_times, rate_set
 from .errors import (
     DimensionOverflowError,
     InvalidGridError,
@@ -38,7 +37,7 @@ from .errors import (
     OracleError,
     TruncationBreachError,
 )
-from .params import PhysicalParams, dressed_frame
+from .params import RECOIL_SECOND_MOMENT, PhysicalParams, dressed_frame
 
 __all__ = [
     "DEFAULT_DIM_CAP",
@@ -56,7 +55,6 @@ __all__ = [
     "evolve",
     "steady_state",
     "converged_steady_state",
-    "reduced_phonon_evolve",
     "thermal_phonon",
     "product_state",
 ]
@@ -170,7 +168,7 @@ def build_liouvillian(p: PhysicalParams, n_max: int, *,
         If 2 (n_max + 1) exceeds dim_cap (memory and solve time grow
         steeply with the dimension; see DEFAULT_DIM_CAP).
     """
-    if int(n_max) != n_max or n_max < 2:
+    if not 2 <= n_max < math.inf or int(n_max) != n_max:
         raise InvalidParamsError("n_max", f"n_max must be an integer >= 2, got {n_max}")
     n_max = int(n_max)
     dim = 2 * (n_max + 1)
@@ -318,8 +316,8 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray, t_end: float, *,
 
     Adaptive high-order Runge-Kutta stepping controlled by rtol/atol only.
     The sparse generator drives the right-hand side; observables are read
-    off at n_samples equally spaced times including both ends. t_end = 0
-    returns the initial state as the one sample.
+    off at n_samples (an integer >= 2) equally spaced times including both
+    ends. t_end = 0 returns the initial state as the one sample.
 
     One caveat on the min_eig diagnostic: the second-order recoil
     correction makes the generator only approximately completely
@@ -330,6 +328,8 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray, t_end: float, *,
 
     Raises
     ------
+    InvalidGridError
+        If t_end is not finite and >= 0 or n_samples not an integer >= 2.
     TruncationBreachError
         If the top-two-Fock-level population exceeds the fixed
         TAIL_MASS_LIMIT (1e-6) at any sample.
@@ -339,13 +339,16 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray, t_end: float, *,
     rho0 = _validate_state(rho0, liouv.dim)
     if not math.isfinite(t_end) or t_end < 0:
         raise InvalidGridError(f"t_end must be finite and >= 0, got {t_end}")
+    if not 2 <= n_samples < math.inf or int(n_samples) != n_samples:
+        raise InvalidGridError(
+            f"n_samples must be an integer >= 2, got {n_samples}")
 
     dim = liouv.dim
     if t_end == 0.0:
         times = np.array([0.0])
         raw = rho0[np.newaxis, :, :]
     else:
-        times = np.linspace(0.0, t_end, n_samples)
+        times = np.linspace(0.0, t_end, int(n_samples))
         sol = solve_ivp(lambda t, y: liouv.matrix @ y, (0.0, float(t_end)),
                         _vec(rho0), method="DOP853", t_eval=times,
                         rtol=rtol, atol=atol)
@@ -562,25 +565,3 @@ def converged_steady_state(p: PhysicalParams, *, n_max_start: int = 12,
             return ConvergenceRun(result=cur, history=tuple(history),
                                   rel_change=rel)
         prev, n_max = cur, n_next
-
-
-# --- reduced phonon model -----------------------------------------------------
-
-def reduced_phonon_evolve(p: PhysicalParams, n0: float, times) -> np.ndarray:
-    """Integrate d<n>/dt = -C <n> + A_plus numerically on the given grid.
-
-    This is an actual ODE solve, not the exponential closed form, so it
-    independently checks the analytic trajectory expression.
-    """
-    t = _check_times(times)
-    rates = rate_set(p)
-    c = rates.cooling_rate
-    source = rates.a_rate_plus
-    n0 = float(n0)
-    if t[-1] == 0.0:
-        return np.array([n0])
-    sol = solve_ivp(lambda tt, y: -c * y + source, (0.0, float(t[-1])),
-                    [n0], method="DOP853", t_eval=t, rtol=1e-12, atol=1e-14)
-    if not sol.success:
-        raise OracleError(f"reduced-model integration failed: {sol.message}")
-    return sol.y[0]

@@ -12,7 +12,12 @@ from dataclasses import asdict, dataclass, fields, replace
 
 from .errors import InvalidParamsError
 
-__all__ = ["PhysicalParams", "DressedFrame", "dressed_frame"]
+__all__ = ["RECOIL_SECOND_MOMENT", "PhysicalParams", "DressedFrame",
+           "dressed_frame"]
+
+# Second moment of the dipole emission pattern (3/8) * integral of
+# x^2 (1 + x^2) over [-1, 1]; weights the recoil diffusion terms.
+RECOIL_SECOND_MOMENT = 2.0 / 5.0
 
 
 @dataclass(frozen=True)

@@ -343,15 +343,6 @@ class TestTrajectory:
         assert traj.rplus[0] == pytest.approx(
             -0.22360679774997896 + 0.3j, rel=1e-12)
 
-    def test_bare_sminus_defaults_to_conjugate(self):
-        p = make(delta=-5.0)
-        explicit = BareInit(sz=0.2, splus=0.1 + 0.3j, sminus=0.1 - 0.3j)
-        defaulted = BareInit(sz=0.2, splus=0.1 + 0.3j)
-        ta = trajectory(p, explicit, [0.0])
-        tb = trajectory(p, defaulted, [0.0])
-        assert ta.rz[0] == tb.rz[0]
-        assert ta.rplus[0] == tb.rplus[0]
-
     @pytest.mark.parametrize("times", [
         [],
         [-1.0, 0.0],

@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+import dressedcool
 from dressedcool import cli
 from dressedcool.cli import (
     EXIT_INVALID_INPUT,
@@ -139,6 +140,22 @@ class TestConfigParsing:
 
 
 class TestExitCodes:
+    def test_each_error_family_carries_its_code(self):
+        invalid = (dressedcool.ConfigError, dressedcool.InvalidParamsError,
+                   dressedcool.InvalidGridError,
+                   dressedcool.UnknownPresetError)
+        for name in dressedcool.__all__:
+            cls = getattr(dressedcool, name)
+            if not (isinstance(cls, type)
+                    and issubclass(cls, dressedcool.DressedCoolError)):
+                continue
+            if issubclass(cls, invalid):
+                assert cls.exit_code == EXIT_INVALID_INPUT, name
+            elif issubclass(cls, dressedcool.OracleError):
+                assert cls.exit_code == EXIT_ORACLE, name
+            else:
+                assert cls.exit_code == EXIT_PHYSICS, name
+
     def test_invalid_param_is_1_and_names_field(self, capsys):
         code, _, err = run_cli(
             ["steady", "--omega", "-1"] + BASE_FLAGS[2:], capsys)
@@ -448,6 +465,16 @@ class TestSweepCommand:
         code, _, err = run_cli(
             ["sweep"] + BASE_FLAGS + ["--variable", "nu"] + out_dir, capsys)
         assert code == EXIT_INVALID_INPUT and "grid_min" in err
+
+    def test_custom_sweep_names_every_missing_key_once(self, capsys,
+                                                       tmp_path):
+        code, _, err = run_cli(
+            ["sweep", "--omega", "5", "--variable", "nu", "--grid-min", "1",
+             "--out-dir", str(tmp_path)], capsys)
+        assert code == EXIT_INVALID_INPUT
+        assert err == ("error: custom sweeps need: grid_max, grid_count, "
+                       "delta, nu, eta, gamma_plus, gamma_minus, "
+                       "gamma_zero\n")
 
     def test_row_errors_give_exit_2_but_files_written(self, capsys,
                                                       tmp_path):

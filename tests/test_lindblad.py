@@ -5,13 +5,23 @@ coherence/inversion relaxation) or as a coarse cross-check; quantitative
 analytic-vs-oracle comparisons at finite eta live in the acceptance suite.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from dressedcool.analytic import rate_set, steady_atom, steady_phonon, trajectory, DressedInit
+from dressedcool import lindblad
+from dressedcool.analytic import (
+    DressedInit,
+    rate_set,
+    reduced_phonon_evolve,
+    steady_atom,
+    steady_phonon,
+    trajectory,
+)
 from dressedcool.errors import (
     DimensionOverflowError,
     InvalidGridError,
@@ -26,7 +36,6 @@ from dressedcool.lindblad import (
     converged_steady_state,
     evolve,
     product_state,
-    reduced_phonon_evolve,
     steady_state,
     thermal_phonon,
 )
@@ -54,6 +63,22 @@ LOWER = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 MIXED = np.array([[0.6, 0.3 - 0.1j], [0.3 + 0.1j, 0.4]], dtype=complex)
 
 
+def test_oracle_takes_nothing_from_the_closed_form():
+    # the oracle is an independent cross-check of the analytic module only
+    # while it imports nothing from it: inside the package it may use the
+    # model inputs and the error types, nothing else
+    tree = ast.parse(Path(lindblad.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    package = {name for name in imported
+               if name.startswith((".", "dressedcool"))}
+    assert package == {".errors", ".params"}
+
+
 @pytest.fixture(scope="module")
 def agree_liouv():
     return build_liouvillian(AGREE_POINT, 12)
@@ -68,6 +93,12 @@ class TestBuild:
     def test_rejects_small_n_max(self):
         with pytest.raises(InvalidParamsError) as err:
             build_liouvillian(FIG2_POINT, 1)
+        assert err.value.field == "n_max"
+
+    @pytest.mark.parametrize("n_max", [math.nan, math.inf, 4.5])
+    def test_rejects_non_integer_n_max(self, n_max):
+        with pytest.raises(InvalidParamsError) as err:
+            build_liouvillian(FIG2_POINT, n_max)
         assert err.value.field == "n_max"
 
     def test_rejects_dimension_over_cap(self):
@@ -184,6 +215,21 @@ class TestEvolve:
         rho0 = product_state(LOWER, thermal_phonon(4, 0.0))
         with pytest.raises(InvalidGridError):
             evolve(liouv, rho0, -1.0)
+
+    @pytest.mark.parametrize("n_samples", [0, -3, 2.5, 1, math.nan,
+                                           math.inf])
+    def test_bad_sample_count_rejected(self, n_samples):
+        # one sample cannot hold both ends of the interval
+        liouv = build_liouvillian(AGREE_POINT, 4)
+        rho0 = product_state(LOWER, thermal_phonon(4, 0.0))
+        with pytest.raises(InvalidGridError, match="n_samples"):
+            evolve(liouv, rho0, 1.0, n_samples=n_samples)
+
+    def test_two_samples_are_both_ends(self):
+        liouv = build_liouvillian(AGREE_POINT, 4)
+        rho0 = product_state(LOWER, thermal_phonon(4, 0.0))
+        assert evolve(liouv, rho0, 1.0, n_samples=2).times.tolist() == [
+            0.0, 1.0]
 
     @pytest.mark.parametrize("mutate", ["herm", "trace", "shape", "positive"])
     def test_bad_initial_state_rejected(self, mutate):
@@ -326,6 +372,18 @@ class TestSteadyState:
                            match="singular values not computed") as err:
             steady_state(liouv)
         assert err.value.smallest_singular_values is None
+
+    @pytest.mark.parametrize("n_max, with_values", [(4, True), (12, False)])
+    def test_rcond_floor_rejects_near_conserved_phonon(self, n_max,
+                                                       with_values):
+        # a mode frequency near 0 nearly conserves the phonon number, so
+        # the kernel is close to degenerate: the LU factorization succeeds
+        # but the condition estimate falls far below RCOND_FLOOR (1.7e-17
+        # at n_max 4, 8.0e-18 at n_max 12)
+        liouv = build_liouvillian(make(nu=1e-8), n_max)
+        with pytest.raises(NoSteadyStateError, match="ill-conditioned") as err:
+            steady_state(liouv)
+        assert (err.value.smallest_singular_values is not None) == with_values
 
     def test_agrees_with_long_time_evolution(self):
         liouv = build_liouvillian(RESONANT_POINT, 8)
