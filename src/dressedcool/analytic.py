@@ -259,7 +259,8 @@ class Trajectory:
     rplus is the coherence envelope in the frame co-rotating at the dressed
     splitting (the full coherence additionally rotates at 2*omega_bar).
     phonon_growing flags a net-gain phonon branch (cooling_rate <= 0 with a
-    positive source); the curves themselves stay finite for any sign.
+    positive source); on it n becomes +inf where e^{|C| t} overflows
+    double precision, and is finite everywhere else.
     n_steady is the HEATING marker on the heating side and None when
     eta*omega = 0 (phonon decoupled, n stays at its initial value).
     """
@@ -296,7 +297,8 @@ def trajectory(p: PhysicalParams,
 
     rz decays to its steady value at 2*gamma_s, the coherence envelope at
     gamma_perp, and the phonon number follows d<n>/dt = -C <n> + A_plus,
-    written in the exp/expm1 form that stays finite for C of any sign.
+    written in the exp/expm1 form; for C < 0 it is +inf once e^{|C| t}
+    overflows.
     """
     t = _check_times(times)
     f = dressed_frame(p)
@@ -313,8 +315,11 @@ def trajectory(p: PhysicalParams,
     if c == 0.0:
         n = init.n + a_plus_rate * t
     else:
-        decay = np.exp(-c * t)
-        n = init.n * decay - a_plus_rate * np.expm1(-c * t) / c
+        with np.errstate(over="ignore", invalid="ignore"):
+            decay = np.exp(-c * t)
+            n = init.n * decay - a_plus_rate * np.expm1(-c * t) / c
+        # a growing branch whose exponential overflowed is +inf, not 0 * inf
+        n[np.isinf(decay)] = np.inf
 
     try:
         n_steady: float | Heating | None = g._steady_phonon()

@@ -151,7 +151,7 @@ def cmd_trajectory(cfg: RunConfig) -> int:
     for key in ("n0", "rz0", "re_rplus0", "im_rplus0"):
         if not math.isfinite(cfg[key]):
             raise InvalidParamsError(key, f"must be finite, got {cfg[key]}")
-    times = np.linspace(0.0, cfg["t_end"], cfg["samples"])
+    times = grid_from_range(0.0, cfg["t_end"], cfg["samples"])
     init = DressedInit(rz=cfg["rz0"],
                        rplus=complex(cfg["re_rplus0"], cfg["im_rplus0"]),
                        n=cfg["n0"])

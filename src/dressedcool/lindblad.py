@@ -14,9 +14,10 @@ gamma_minus sin^4(theta) on R+, each in the form
 where rho_bar = rho + alpha eta^2 (X rho X - {X^2, rho}/2), X = b + b',
 is the photon-recoil smearing expanded to second order in eta
 (alpha = 2/5). Everything here is solved numerically (sparse LU kernel
-solve, adaptive Runge-Kutta integration) on one sparse generator; none of
-the closed-form results from the analytic module enter, so agreement
-between the two is a real check.
+solve certified by scipy's 1-norm estimator, adaptive Runge-Kutta
+integration) on one sparse generator; none of the closed-form results
+from the analytic module enter, so agreement between the two is a real
+check.
 """
 
 from __future__ import annotations
@@ -247,11 +248,8 @@ def thermal_phonon(n_max: int, nbar: float, cut: int | None = None) -> np.ndarra
         raise InvalidParamsError("nbar", f"nbar must be >= 0, got {nbar}")
     top = n_max if cut is None else min(cut, n_max)
     weights = np.zeros(n_max + 1)
-    if nbar == 0.0:
-        weights[0] = 1.0
-    else:
-        q = nbar / (1.0 + nbar)
-        weights[: top + 1] = q ** np.arange(top + 1)
+    q = nbar / (1.0 + nbar)
+    weights[: top + 1] = q ** np.arange(top + 1)
     weights /= weights.sum()
     return np.diag(weights).astype(complex)
 
@@ -415,36 +413,15 @@ def _raise_no_steady(lmat: _Generator, reason: str) -> None:
                                                                float(sv[-2])))
 
 
-def _unit_phases(x: np.ndarray) -> np.ndarray:
-    """x_i / |x_i|, and 1 where |x_i| is at the underflow threshold."""
-    mag = np.abs(x)
-    tiny = mag <= np.finfo(float).tiny
-    return np.where(tiny, 1.0, x / np.where(tiny, 1.0, mag))
-
-
 def _inverse_norm1_estimate(lu) -> float:
-    """Lower bound on ||A^-1||_1 from the sparse LU factors of A.
-
-    LAPACK's Hager-Higham iteration (xLACN2, the estimator behind its
-    dense condition numbers), step for step, driven by solves with A and
-    A^H: deterministic, at most five solves with columns of A^-1 or sign
-    vectors, then the alternating-sign test vector.
-    """
+    """Lower bound on ||A^-1||_1 from the sparse LU factors of A: scipy's
+    estimator on solves with A and A^H (see steady_state), closed by
+    LAPACK's alternating-sign test vector."""
     n = lu.shape[0]
-    x = lu.solve(np.full(n, 1.0 / n, dtype=complex))
-    if n == 1:
-        return float(abs(x[0]))
-    est = float(np.abs(x).sum())
-    j = int(np.argmax(np.abs(lu.solve(_unit_phases(x), trans="H"))))
-    for step in range(4):
-        x = lu.solve(np.eye(1, n, j, dtype=complex)[0])
-        est_old, est = est, float(np.abs(x).sum())
-        if est <= est_old or step == 3:
-            break
-        z = np.abs(lu.solve(_unit_phases(x), trans="H"))
-        j_last, j = j, int(np.argmax(z))
-        if z[j_last] == z[j]:
-            break
+    inverse = scipy.sparse.linalg.LinearOperator(
+        lu.shape, matvec=lu.solve, rmatvec=lambda y: lu.solve(y, trans="H"),
+        dtype=complex)
+    est = scipy.sparse.linalg.onenormest(inverse, t=1, itmax=4)
     alt = (-1.0) ** np.arange(n) * (1.0 + np.arange(n) / (n - 1))
     return max(est, 2.0 * (float(np.abs(lu.solve(alt.astype(complex))).sum())
                            / (3 * n)))
@@ -454,13 +431,18 @@ def steady_state(liouv: Liouvillian) -> SteadyStateResult:
     """Solve L vec(rho) = 0 with Tr rho = 1.
 
     The first row of the system is replaced by the trace constraint and
-    the result is factored by sparse LU; a deterministic 1-norm estimate
-    of the reciprocal condition number (LAPACK's estimator, run on the
-    sparse factors) certifies that the kernel is one-dimensional (a second
-    kernel direction leaves the constrained system singular). The residual
-    is measured against the unmodified generator. Both thresholds are
-    fixed: rcond must reach RCOND_FLOOR (1e-12) and the residual must stay
-    within RESIDUAL_TOL (1e-10).
+    the result is factored by sparse LU; a 1-norm estimate of the
+    reciprocal condition number certifies that the kernel is
+    one-dimensional (a second kernel direction leaves the constrained
+    system singular). The estimate is scipy's onenormest (Higham &
+    Tisseur 2000) on solves with the factors, with one column (t = 1)
+    and LAPACK's limit of five solves with A, plus LAPACK's
+    alternating-sign bound. At t = 1 it draws no random numbers and
+    reduces to Hager's iteration, so it is deterministic and gives
+    LAPACK's number (xLACN2, as in zgecon). The residual is measured
+    against the unmodified generator. Both thresholds are fixed: rcond
+    must reach RCOND_FLOOR (1e-12) and the residual must stay within
+    RESIDUAL_TOL (1e-10).
 
     Raises
     ------

@@ -105,7 +105,12 @@ def grid_from_range(lo: float, hi: float, count: int) -> tuple[float, ...]:
     """Inclusive evenly spaced grid, as plain floats."""
     if count < 1:
         raise InvalidGridError(f"grid count must be >= 1, got {count}")
-    return tuple(float(v) for v in np.linspace(float(lo), float(hi), count))
+    try:
+        grid = np.linspace(float(lo), float(hi), count)
+    except (ValueError, MemoryError) as exc:
+        raise InvalidGridError(
+            f"cannot make a grid of {count} points: {exc}") from None
+    return tuple(float(v) for v in grid)
 
 
 def _checked_grid(values) -> tuple[float, ...]:

@@ -310,6 +310,19 @@ class TestTrajectory:
         assert np.all(np.diff(traj.n) > 0)
         assert np.all(np.isfinite(traj.n))
 
+    @pytest.mark.parametrize("n0", [0.0, 1.0])
+    def test_heating_past_overflow_is_infinite(self, n0):
+        # C = -0.00702 here, so e^{|C| t} overflows before t = 5e5; the
+        # growing branch must read +inf there (not 0 * inf = nan) without
+        # a numpy warning, and stay finite before it
+        p = make(nu=10.0, eta=0.02, gamma_minus=2.0)
+        times = [0.0, 1e3, 5e5, 1e6]
+        traj = trajectory(p, DressedInit(rz=-1.0, n=n0), times)
+        assert traj.cooling_rate == pytest.approx(-0.00702, rel=1e-3)
+        assert traj.n[0] == n0
+        assert np.isfinite(traj.n[1]) and traj.n[1] > n0
+        assert list(traj.n[2:]) == [math.inf, math.inf]
+
     def test_balanced_rates_grow_linearly(self):
         traj = trajectory(SYMMETRIC_POINT, DressedInit(rz=0.0, n=1.0),
                           [0.0, 2.0, 4.0])

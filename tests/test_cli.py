@@ -728,6 +728,13 @@ MALFORMED = {
         ["trajectory", *BASE_FLAGS, "--t-end", "inf", "--n0", "1"], 1),
     "sweep-grid-nan": (
         ["sweep", *BASE_FLAGS, *_NU_SCAN, "--grid-max", "nan"], 1),
+    # numpy refuses counts this large before it allocates anything
+    "samples-huge": (
+        ["trajectory", *BASE_FLAGS, *_TRAJ,
+         "--samples", "10000000000000000000"], 1),
+    "sweep-grid-count-huge": (
+        ["sweep", *BASE_FLAGS, *_NU_SCAN,
+         "--grid-count", "10000000000000000000"], 1),
     "sweep-oracle-n-max": (
         ["sweep", "--preset", "fig2", "--oracle", "true",
          "--oracle-n-max", "1", "--out-dir", "{tmp}"], 1),

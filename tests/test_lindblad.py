@@ -325,10 +325,16 @@ class TestSteadyState:
         res = steady_state(build_liouvillian(RESONANT_POINT, 12))
         assert res.n == pytest.approx(0.0972297628592416, rel=0.15)
 
-    def test_matches_dense_lu_and_zgecon(self):
+    @pytest.mark.parametrize("p", [
+        RESONANT_POINT, AGREE_POINT, FIG2_POINT, make(delta=-3.3, nu=7.1),
+        make(gamma_minus=0.0), make(gamma_zero=0.0)],
+        ids=["resonant", "agree", "fig2", "detuned", "no-gamma-minus",
+             "no-gamma-zero"])
+    def test_matches_dense_lu_and_zgecon(self, p):
         # independent dense route: LAPACK LU and zgecon on the same
-        # trace-constrained system
-        liouv = build_liouvillian(RESONANT_POINT, 12)
+        # trace-constrained system, at resonance, off it and with one
+        # dissipative channel dark
+        liouv = build_liouvillian(p, 12)
         res = steady_state(liouv)
         d = liouv.dim
         constrained = liouv.matrix.toarray()
