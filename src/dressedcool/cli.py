@@ -48,7 +48,7 @@ from .errors import (
     InvalidGridError,
     InvalidParamsError,
 )
-from .lindblad import converged_steady_state
+from .lindblad import DEFAULT_DIM_CAP, converged_steady_state
 from .sweep import (
     SweepSpec,
     _cell,
@@ -151,6 +151,8 @@ def cmd_trajectory(cfg: RunConfig) -> int:
     for key in ("n0", "rz0", "re_rplus0", "im_rplus0"):
         if not math.isfinite(cfg[key]):
             raise InvalidParamsError(key, f"must be finite, got {cfg[key]}")
+    if cfg["n0"] < 0:
+        raise InvalidParamsError("n0", f"must be >= 0, got {cfg['n0']}")
     times = grid_from_range(0.0, cfg["t_end"], cfg["samples"])
     init = DressedInit(rz=cfg["rz0"],
                        rplus=complex(cfg["re_rplus0"], cfg["im_rplus0"]),
@@ -245,6 +247,10 @@ def cmd_validate(cfg: RunConfig) -> int:
     if not 0.0 <= cfg["threshold"] < math.inf:
         raise InvalidParamsError(
             "threshold", f"must be finite and >= 0, got {cfg['threshold']}")
+    if cfg["dim_cap"] > DEFAULT_DIM_CAP:
+        raise InvalidParamsError(
+            "dim_cap", f"must be <= {DEFAULT_DIM_CAP} (the largest allowed "
+                       f"dimension), got {cfg['dim_cap']}")
     report = validity_report(p, margin=cfg["margin"])
     ns = steady_phonon(p)
     if is_heating(ns):

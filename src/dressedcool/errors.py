@@ -77,10 +77,3 @@ class TruncationBreachError(OracleError):
 
 class NoSteadyStateError(OracleError):
     """The generator kernel is empty or not one-dimensional."""
-
-    def __init__(self, message: str, smallest_singular_values=None):
-        if smallest_singular_values is not None:
-            s = ", ".join(f"{v:.3e}" for v in smallest_singular_values)
-            message = f"{message} (two smallest singular values: {s})"
-        super().__init__(message)
-        self.smallest_singular_values = smallest_singular_values

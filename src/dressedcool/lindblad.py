@@ -15,9 +15,11 @@ where rho_bar = rho + alpha eta^2 (X rho X - {X^2, rho}/2), X = b + b',
 is the photon-recoil smearing expanded to second order in eta
 (alpha = 2/5). Everything here is solved numerically (sparse LU kernel
 solve certified by scipy's 1-norm estimator, adaptive Runge-Kutta
-integration) on one sparse generator; none of the closed-form results
-from the analytic module enter, so agreement between the two is a real
-check.
+integration) on one sparse generator; a steady solve that fails reports
+the certificate that failed (a singular factorization, rcond or
+residual) in the same form at every dimension. None of the closed-form
+results from the analytic module enter, so agreement between the two is
+a real check.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ __all__ = [
     "DEFAULT_DIM_CAP",
     "RCOND_FLOOR",
     "RESIDUAL_TOL",
-    "SVD_DIM_MAX",
     "CONVERGENCE_REL_TOL",
     "ESCALATION_STEP",
     "TAIL_MASS_LIMIT",
@@ -77,11 +78,6 @@ RESIDUAL_TOL = 1e-10
 CONVERGENCE_REL_TOL = 1e-4
 ESCALATION_STEP = 4
 TAIL_MASS_LIMIT = 1e-6
-
-# A failed steady-state solve reports the generator's two smallest singular
-# values only up to this Hilbert dimension: the dense SVD of the D^2 x D^2
-# generator costs about four successful solves at D = 16 and grows as D^6.
-SVD_DIM_MAX = 16
 
 
 def _vec(rho: np.ndarray) -> np.ndarray:
@@ -404,15 +400,6 @@ class SteadyStateResult:
     dim: int
 
 
-def _raise_no_steady(lmat: _Generator, reason: str) -> None:
-    if lmat.shape[0] > SVD_DIM_MAX ** 2:
-        raise NoSteadyStateError(f"{reason} (singular values not computed "
-                                 f"above dimension {SVD_DIM_MAX})")
-    sv = np.linalg.svd(lmat.toarray(), compute_uv=False)
-    raise NoSteadyStateError(reason, smallest_singular_values=(float(sv[-1]),
-                                                               float(sv[-2])))
-
-
 def _inverse_norm1_estimate(lu) -> float:
     """Lower bound on ||A^-1||_1 from the sparse LU factors of A: scipy's
     estimator on solves with A and A^H (see steady_state), closed by
@@ -449,9 +436,9 @@ def steady_state(liouv: Liouvillian) -> SteadyStateResult:
     NoSteadyStateError
         If the constrained solve is singular/ill-conditioned (rcond below
         RCOND_FLOOR: kernel not one-dimensional within tolerance) or the
-        residual exceeds RESIDUAL_TOL.
-        The two smallest singular values of the generator are attached
-        up to dimension SVD_DIM_MAX (16); above it they are None.
+        residual exceeds RESIDUAL_TOL. The message names the certificate
+        that failed, with its value (rcond or residual), and has the same
+        form at every dimension.
     """
     lmat = liouv.matrix
     dim = liouv.dim
@@ -467,20 +454,21 @@ def steady_state(liouv: Liouvillian) -> SteadyStateResult:
     try:
         lu = scipy.sparse.linalg.splu(constrained)
     except RuntimeError:
-        _raise_no_steady(lmat, "constrained system is exactly singular")
+        raise NoSteadyStateError(
+            "constrained system is exactly singular") from None
     with np.errstate(all="ignore"):
         ainv_norm = _inverse_norm1_estimate(lu)
     rcond = 1.0 / ainv_norm / anorm if ainv_norm else 0.0
     if not np.isfinite(rcond) or rcond < RCOND_FLOOR:
-        _raise_no_steady(
-            lmat, f"constrained solve ill-conditioned (rcond = {rcond:.3e}); "
-                  "kernel is not one-dimensional within tolerance")
+        raise NoSteadyStateError(
+            f"constrained solve ill-conditioned (rcond = {rcond:.3e}); "
+            "kernel is not one-dimensional within tolerance")
     v = lu.solve(rhs)
 
     residual = float(np.abs(lmat @ v).max())
     if residual > RESIDUAL_TOL:
-        _raise_no_steady(
-            lmat, f"kernel residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
+        raise NoSteadyStateError(
+            f"kernel residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
 
     rho_raw = _unvec(v, dim)
     herm_defect = float(np.abs(rho_raw - rho_raw.conj().T).max())

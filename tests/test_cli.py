@@ -205,6 +205,16 @@ class TestExitCodes:
         assert code == EXIT_ORACLE
         assert "oracle error" in err
 
+    def test_ill_conditioned_validate_names_its_certificate(self, capsys):
+        # nu near 0 nearly conserves the phonon number (dimension 26)
+        code, out, err = run_cli(["validate"] + base_flags(nu="1e-8"), capsys)
+        assert code == EXIT_ORACLE
+        assert out == ""
+        assert err.startswith("oracle error: constrained solve "
+                              "ill-conditioned (rcond = ")
+        assert err.endswith("); kernel is not one-dimensional within "
+                            "tolerance\n")
+
     def test_unknown_preset_is_1(self, capsys, tmp_path):
         code, _, err = run_cli(
             ["sweep", "--preset", "fig9", "--out-dir", str(tmp_path)],
@@ -269,6 +279,26 @@ class TestExitCodes:
         assert code == EXIT_INVALID_INPUT
         assert out == ""
         assert err == f"error: {key}: must be finite, got {float(value)}\n"
+
+    def test_negative_n0_is_1(self, capsys):
+        code, out, err = run_cli(
+            ["trajectory"] + BASE_FLAGS + ["--t-end", "1e3", "--n0", "-1000"],
+            capsys)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err == "error: n0: must be >= 0, got -1000.0\n"
+
+    def test_dim_cap_above_largest_is_1(self, capsys, monkeypatch):
+        # n_max 66 fits a cap of 140 (dimension 134) but not the largest
+        # allowed dimension, DEFAULT_DIM_CAP = 128
+        monkeypatch.setattr(cli, "converged_steady_state", no_oracle)
+        code, out, err = run_cli(
+            ["validate"] + BASE_FLAGS + ["--n-max", "66", "--dim-cap", "140"],
+            capsys)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err == ("error: dim_cap: must be <= 128 (the largest allowed "
+                       "dimension), got 140\n")
 
     @pytest.mark.parametrize("subcommand, extra", [
         ("steady", []),

@@ -282,6 +282,18 @@ class TestOracleSweeps:
         assert is_heating(hot.n_s)
         assert hot.oracle_n_s is None and hot.error is None
 
+    def test_failed_solve_marker_names_its_certificate(self):
+        # nu near 0 nearly conserves the phonon number (dimension 26)
+        spec = SweepSpec(base=BASE, variable="nu", grid=(1e-8,),
+                         oracle=True)
+        (row,) = run_sweep(spec).rows
+        assert row.oracle_n_s is None
+        assert row.error.startswith(
+            "oracle NoSteadyStateError: constrained solve ill-conditioned "
+            "(rcond = ")
+        assert row.error.endswith(
+            "); kernel is not one-dimensional within tolerance")
+
     def test_parallel_oracle_sweep_equals_serial(self):
         spec = SweepSpec(base=BASE, variable="gamma_ratio", grid=(0.2, 0.3),
                          gamma_zero_rule="track_gamma_minus",
