@@ -48,7 +48,7 @@ from .errors import (
     InvalidGridError,
     InvalidParamsError,
 )
-from .lindblad import DEFAULT_DIM_CAP, converged_steady_state
+from .lindblad import converged_steady_state
 from .sweep import (
     SweepSpec,
     _cell,
@@ -247,10 +247,6 @@ def cmd_validate(cfg: RunConfig) -> int:
     if not 0.0 <= cfg["threshold"] < math.inf:
         raise InvalidParamsError(
             "threshold", f"must be finite and >= 0, got {cfg['threshold']}")
-    if cfg["dim_cap"] > DEFAULT_DIM_CAP:
-        raise InvalidParamsError(
-            "dim_cap", f"must be <= {DEFAULT_DIM_CAP} (the largest allowed "
-                       f"dimension), got {cfg['dim_cap']}")
     report = validity_report(p, margin=cfg["margin"])
     ns = steady_phonon(p)
     if is_heating(ns):

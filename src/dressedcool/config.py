@@ -93,13 +93,13 @@ SCHEMAS: dict[str, tuple[Key, ...]] = {
         Key("oracle", "bool", False, "solve the full model at every point"),
         Key("oracle_n_max", "int", 12, "starting Fock cut for oracle solves"),
         Key("workers", "int", 1,
-            "process count for parallel oracle evaluation"),
+            "process count (>= 1) for parallel oracle evaluation"),
         Key("out_dir", "str", ".", "directory for the per-curve files"),
     ) + tuple(replace(k, default=None, help="custom sweeps: " + k.help)
               for k in _PARAM_KEYS) + (_REFERENCE_RATE, _FORMAT_CSV),
     "validate": _PARAM_KEYS + (
         Key("n_max", "int", 12, "starting Fock cut for the kernel solve"),
-        Key("dim_cap", "int", 64, "hard ceiling on the solver dimension"),
+        Key("dim_cap", "int", 64, "largest dimension the escalation builds (6-128)"),
         Key("threshold", "float", 0.15,
             "relative disagreement that still counts as a pass"),
         Key("margin", "float", 10.0, "validity margin factor"),

@@ -68,7 +68,7 @@ class OracleError(DressedCoolError):
 
 
 class DimensionOverflowError(OracleError):
-    """Requested Hilbert-space dimension exceeds the configured cap."""
+    """Requested Hilbert-space dimension exceeds the ceiling or the budget."""
 
 
 class TruncationBreachError(OracleError):

@@ -61,10 +61,10 @@ __all__ = [
     "product_state",
 ]
 
-# Largest allowed total Hilbert-space dimension D = 2 (n_max + 1). The
-# superoperator is D^2 x D^2 but sparse, with about 17 D^2 stored entries;
-# at the cap one steady-state solve takes under a second and about 130 MB,
-# mostly sparse LU fill-in.
+# Largest allowed total Hilbert-space dimension D = 2 (n_max + 1), the ceiling
+# on every generator and escalation budget. The superoperator is D^2 x D^2 but
+# sparse, with about 17 D^2 stored entries; at the cap one steady-state solve
+# takes under a second and about 130 MB, mostly sparse LU fill-in.
 DEFAULT_DIM_CAP = 128
 
 # Fixed certificate thresholds: every steady state needs a reciprocal
@@ -78,14 +78,6 @@ RESIDUAL_TOL = 1e-10
 CONVERGENCE_REL_TOL = 1e-4
 ESCALATION_STEP = 4
 TAIL_MASS_LIMIT = 1e-6
-
-
-def _vec(rho: np.ndarray) -> np.ndarray:
-    return rho.reshape(-1, order="F")
-
-
-def _unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    return v.reshape(dim, dim, order="F")
 
 
 class _Generator(scipy.sparse.csr_array):
@@ -149,8 +141,18 @@ class Liouvillian:
         return rz, rplus, n, float(pops[idx].sum())
 
 
-def build_liouvillian(p: PhysicalParams, n_max: int, *,
-                      dim_cap: int = DEFAULT_DIM_CAP) -> Liouvillian:
+def _checked_dim(n_max: int, cap: int) -> int:
+    if not 2 <= n_max < math.inf or int(n_max) != n_max:
+        raise InvalidParamsError("n_max", f"must be an integer >= 2, got {n_max}")
+    dim = 2 * (int(n_max) + 1)
+    if dim > cap:
+        raise DimensionOverflowError(
+            f"total dimension {dim} = 2*(n_max+1) exceeds cap {cap}; "
+            f"superoperator would be {dim * dim} x {dim * dim}")
+    return dim
+
+
+def build_liouvillian(p: PhysicalParams, n_max: int) -> Liouvillian:
     """Assemble the sparse superoperator for `p` on Fock levels 0..n_max.
 
     Basis ordering: index = level * (n_max + 1) + n with level 0 the lower
@@ -160,19 +162,13 @@ def build_liouvillian(p: PhysicalParams, n_max: int, *,
     Raises
     ------
     InvalidParamsError
-        If n_max < 2.
+        If n_max is not an integer >= 2.
     DimensionOverflowError
-        If 2 (n_max + 1) exceeds dim_cap (memory and solve time grow
-        steeply with the dimension; see DEFAULT_DIM_CAP).
+        If 2 (n_max + 1) exceeds DEFAULT_DIM_CAP, the ceiling on every
+        generator (memory and solve time grow steeply with the dimension).
     """
-    if not 2 <= n_max < math.inf or int(n_max) != n_max:
-        raise InvalidParamsError("n_max", f"n_max must be an integer >= 2, got {n_max}")
+    dim = _checked_dim(n_max, DEFAULT_DIM_CAP)
     n_max = int(n_max)
-    dim = 2 * (n_max + 1)
-    if dim > dim_cap:
-        raise DimensionOverflowError(
-            f"total dimension {dim} = 2*(n_max+1) exceeds cap {dim_cap}; "
-            f"superoperator would be {dim * dim} x {dim * dim}")
 
     f = dressed_frame(p)
     levels = n_max + 1
@@ -241,7 +237,7 @@ def thermal_phonon(n_max: int, nbar: float, cut: int | None = None) -> np.ndarra
     renormalizing; by default the geometric weights run to n_max.
     """
     if nbar < 0:
-        raise InvalidParamsError("nbar", f"nbar must be >= 0, got {nbar}")
+        raise InvalidParamsError("nbar", f"must be >= 0, got {nbar}")
     top = n_max if cut is None else min(cut, n_max)
     weights = np.zeros(n_max + 1)
     q = nbar / (1.0 + nbar)
@@ -344,8 +340,8 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray, t_end: float, *,
     else:
         times = np.linspace(0.0, t_end, int(n_samples))
         sol = solve_ivp(lambda t, y: liouv.matrix @ y, (0.0, float(t_end)),
-                        _vec(rho0), method="DOP853", t_eval=times,
-                        rtol=rtol, atol=atol)
+                        rho0.reshape(-1, order="F"), method="DOP853",
+                        t_eval=times, rtol=rtol, atol=atol)
         if not sol.success:
             raise OracleError(f"integration failed: {sol.message}")
         raw = np.ascontiguousarray(
@@ -470,7 +466,7 @@ def steady_state(liouv: Liouvillian) -> SteadyStateResult:
         raise NoSteadyStateError(
             f"kernel residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
 
-    rho_raw = _unvec(v, dim)
+    rho_raw = v.reshape(dim, dim, order="F")
     herm_defect = float(np.abs(rho_raw - rho_raw.conj().T).max())
     rho = 0.5 * (rho_raw + rho_raw.conj().T)
     trace = np.trace(rho).real
@@ -510,17 +506,25 @@ def converged_steady_state(p: PhysicalParams, *, n_max_start: int = 12,
     between consecutive sizes drops below the fixed CONVERGENCE_REL_TOL
     (1e-4). Every solve carries steady_state's fixed certificates
     (RCOND_FLOOR, RESIDUAL_TOL).
-    The default cap is tighter than build_liouvillian's because the loop
-    builds every size on the way up; hot parameter points that need more
-    room must raise dim_cap explicitly.
+    dim_cap, the escalation budget, is checked with the first cut before
+    any build; it defaults below DEFAULT_DIM_CAP as every size is built.
 
     Raises
     ------
+    InvalidParamsError
+        If dim_cap is outside [6, DEFAULT_DIM_CAP] or n_max_start < 2.
+    DimensionOverflowError
+        If the first cut, 2 (n_max_start + 1), exceeds dim_cap.
     TruncationBreachError
         If the cap is reached without convergence (history attached).
     """
+    if not 6 <= dim_cap <= DEFAULT_DIM_CAP:
+        bound = (f"<= {DEFAULT_DIM_CAP} (the largest allowed dimension)"
+                 if dim_cap > DEFAULT_DIM_CAP else ">= 6 (the smallest generator)")
+        raise InvalidParamsError("dim_cap", f"must be {bound}, got {dim_cap}")
+    _checked_dim(n_max_start, dim_cap)
     n_max = n_max_start
-    prev = steady_state(build_liouvillian(p, n_max, dim_cap=dim_cap))
+    prev = steady_state(build_liouvillian(p, n_max))
     history = [(n_max, prev.n)]
     while True:
         n_next = n_max + ESCALATION_STEP
@@ -528,7 +532,7 @@ def converged_steady_state(p: PhysicalParams, *, n_max_start: int = 12,
             raise TruncationBreachError(
                 f"phonon number not converged at dimension cap {dim_cap}; "
                 f"history: {history}")
-        cur = steady_state(build_liouvillian(p, n_next, dim_cap=dim_cap))
+        cur = steady_state(build_liouvillian(p, n_next))
         history.append((n_next, cur.n))
         rel = abs(cur.n - prev.n) / max(abs(cur.n), 1e-12)
         if rel < CONVERGENCE_REL_TOL:

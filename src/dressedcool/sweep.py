@@ -298,8 +298,11 @@ def run_sweep(spec: SweepSpec, *, workers: int | None = None) -> SweepTable:
     assembled in grid-index order afterwards, so the result is identical
     to the serial one.  Closed-form points cost microseconds, less than
     shipping them to a worker, so those sweeps always run serially.
-    Per-point failures never raise: they land in the rows.
+    Per-point failures never raise: they land in the rows.  workers=None
+    means 1; workers below 1 raises InvalidParamsError.
     """
+    if workers is not None and workers < 1:
+        raise InvalidParamsError("workers", f"must be >= 1, got {workers}")
     workers = min(workers or 1, len(spec.grid), os.cpu_count() or 1)
     if spec.oracle and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

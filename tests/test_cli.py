@@ -2,7 +2,9 @@
 byte-for-byte reproducibility from the embedded config echo."""
 
 import csv
+import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import subprocess
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 import dressedcool
-from dressedcool import cli
+from dressedcool import cli, lindblad
 from dressedcool.cli import (
     EXIT_INVALID_INPUT,
     EXIT_OK,
@@ -26,7 +28,8 @@ from dressedcool.config import (
     resolve_config,
     schema_for,
 )
-from dressedcool.sweep import list_presets
+from dressedcool.lindblad import converged_steady_state
+from dressedcool.sweep import SweepSpec, list_presets, preset_sweeps
 
 # a cold, well-converged operating point used throughout
 BASE_FLAGS = [
@@ -137,6 +140,24 @@ class TestConfigParsing:
     def test_schema_for_unknown_subcommand(self):
         with pytest.raises(ConfigError, match="unknown subcommand"):
             schema_for("paint")
+
+
+class TestFockBudgetDefaults:
+    def test_config_defaults_are_the_library_defaults(self):
+        def config_default(subcommand, name):
+            return next(key.default for key in schema_for(subcommand)
+                        if key.name == name)
+
+        oracle = inspect.signature(converged_steady_state).parameters
+        spec = {f.name: f.default for f in dataclasses.fields(SweepSpec)}
+        preset = inspect.signature(preset_sweeps).parameters["oracle_n_max"]
+        assert config_default("validate", "n_max") == \
+            oracle["n_max_start"].default
+        assert config_default("validate", "dim_cap") == \
+            oracle["dim_cap"].default
+        assert config_default("sweep", "oracle_n_max") == \
+            spec["oracle_n_max"] == preset.default == \
+            oracle["n_max_start"].default
 
 
 class TestExitCodes:
@@ -290,8 +311,8 @@ class TestExitCodes:
 
     def test_dim_cap_above_largest_is_1(self, capsys, monkeypatch):
         # n_max 66 fits a cap of 140 (dimension 134) but not the largest
-        # allowed dimension, DEFAULT_DIM_CAP = 128
-        monkeypatch.setattr(cli, "converged_steady_state", no_oracle)
+        # allowed dimension, DEFAULT_DIM_CAP = 128; nothing is built
+        monkeypatch.setattr(lindblad, "build_liouvillian", no_oracle)
         code, out, err = run_cli(
             ["validate"] + BASE_FLAGS + ["--n-max", "66", "--dim-cap", "140"],
             capsys)
@@ -299,6 +320,25 @@ class TestExitCodes:
         assert out == ""
         assert err == ("error: dim_cap: must be <= 128 (the largest allowed "
                        "dimension), got 140\n")
+
+    def test_n_max_below_2_is_1(self, capsys):
+        code, out, err = run_cli(
+            ["validate"] + BASE_FLAGS + ["--n-max", "1"], capsys)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err == "error: n_max: must be an integer >= 2, got 1\n"
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_1_is_1(self, workers, capsys, tmp_path):
+        code, out, err = run_cli(
+            ["sweep"] + BASE_FLAGS
+            + ["--variable", "nu", "--grid-min", "8", "--grid-max", "12",
+               "--grid-count", "3", "--workers", workers,
+               "--out-dir", str(tmp_path)], capsys)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err == f"error: workers: must be >= 1, got {workers}\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("subcommand, extra", [
         ("steady", []),
@@ -772,6 +812,9 @@ MALFORMED = {
     "validate-dark": (["validate", *_DARK], 2),
     "validate-dim-cap": (
         ["validate", *BASE_FLAGS, "--n-max", "8", "--dim-cap", "8"], 3),
+    "validate-dim-cap-negative": (
+        ["validate", *BASE_FLAGS, "--dim-cap", "-5"], 1),
+    "sweep-workers-0": (["sweep", *BASE_FLAGS, *_NU_SCAN, "--workers", "0"], 1),
     "presets-format": (["presets", "--format", "xml"], 1),
 }
 

@@ -48,6 +48,10 @@ def make(**overrides):
     return PhysicalParams(**base)
 
 
+def no_build(*args, **kwargs):
+    raise AssertionError("no generator may be built")
+
+
 FIG2_POINT = make()
 RESONANT_POINT = make(delta=2.0 * math.sqrt(11.0), nu=12.0,
                       gamma_minus=1.0, gamma_zero=1.0)
@@ -93,6 +97,7 @@ class TestBuild:
         with pytest.raises(InvalidParamsError) as err:
             build_liouvillian(FIG2_POINT, 1)
         assert err.value.field == "n_max"
+        assert str(err.value) == "n_max: must be an integer >= 2, got 1"
 
     @pytest.mark.parametrize("n_max", [math.nan, math.inf, 4.5])
     def test_rejects_non_integer_n_max(self, n_max):
@@ -103,8 +108,6 @@ class TestBuild:
     def test_rejects_dimension_over_cap(self):
         with pytest.raises(DimensionOverflowError):
             build_liouvillian(FIG2_POINT, 64)
-        with pytest.raises(DimensionOverflowError):
-            build_liouvillian(FIG2_POINT, 8, dim_cap=16)
 
     def test_dimensions_and_metadata(self, agree_liouv):
         assert agree_liouv.dim == 26
@@ -407,6 +410,27 @@ class TestConvergedSteadyState:
     def test_cap_breach_raises(self):
         with pytest.raises(TruncationBreachError):
             converged_steady_state(FIG2_POINT, n_max_start=4, dim_cap=12)
+
+    @pytest.mark.parametrize("dim_cap, bound", [
+        (140, "<= 128 (the largest allowed dimension)"),
+        (5, ">= 6 (the smallest generator)"),
+    ])
+    def test_budget_outside_range_builds_nothing(self, dim_cap, bound,
+                                                 monkeypatch):
+        monkeypatch.setattr(lindblad, "build_liouvillian", no_build)
+        with pytest.raises(InvalidParamsError) as err:
+            converged_steady_state(FIG2_POINT, n_max_start=64,
+                                   dim_cap=dim_cap)
+        assert err.value.field == "dim_cap"
+        assert str(err.value) == f"dim_cap: must be {bound}, got {dim_cap}"
+
+    def test_first_cut_over_budget_builds_nothing(self, monkeypatch):
+        monkeypatch.setattr(lindblad, "build_liouvillian", no_build)
+        with pytest.raises(DimensionOverflowError) as err:
+            converged_steady_state(FIG2_POINT, n_max_start=8, dim_cap=16)
+        assert str(err.value) == (
+            "total dimension 18 = 2*(n_max+1) exceeds cap 16; "
+            "superoperator would be 324 x 324")
 
 
 class TestReducedPhononEvolve:
