@@ -223,13 +223,14 @@ def _sweep_specs(cfg: RunConfig) -> tuple[SweepSpec, ...]:
 def cmd_sweep(cfg: RunConfig) -> int:
     specs = _sweep_specs(cfg)
     out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     markers: list[str] = []
     oracle_failed = False
     for spec in specs:
         table = run_sweep(spec, workers=cfg["workers"])
         markers.extend(table.error_markers)
         oracle_failed = oracle_failed or table.has_oracle_errors
+        # made only once run_sweep has accepted its input
+        out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / f"{_slug(spec.label)}.{cfg['format']}"
         _write_document(cfg, path, table.to_json_dict, table.to_csv,
                         comments=[("spec", spec.to_json_dict())])

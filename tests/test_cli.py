@@ -340,6 +340,17 @@ class TestExitCodes:
         assert err == f"error: workers: must be >= 1, got {workers}\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_rejected_sweep_makes_no_out_dir(self, capsys, tmp_path):
+        out_dir = tmp_path / "w0dir" / "curves"
+        code, out, err = run_cli(
+            ["sweep"] + BASE_FLAGS
+            + ["--variable", "nu", "--grid-min", "8", "--grid-max", "12",
+               "--grid-count", "3", "--workers", "0",
+               "--out-dir", str(out_dir)], capsys)
+        assert code == EXIT_INVALID_INPUT
+        assert err == "error: workers: must be >= 1, got 0\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("subcommand, extra", [
         ("steady", []),
         ("trajectory", ["--t-end", "1", "--n0", "1"]),

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.integrate import solve_ivp
 
 from dressedcool import lindblad
 from dressedcool.analytic import (
@@ -64,6 +65,23 @@ AGREE_POINT = make(nu=10.0, eta=0.02)
 
 LOWER = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 MIXED = np.array([[0.6, 0.3 - 0.1j], [0.3 + 0.1j, 0.4]], dtype=complex)
+
+
+def basis_parity(n_max):
+    """(a + n) mod 2 of basis state |a, n> at index a * (n_max + 1) + n."""
+    return np.array([(a + n) % 2 for a in (0, 1) for n in range(n_max + 1)])
+
+
+def full_generator_run(liouv, rho0, times, rtol, atol):
+    """(rz, rplus, n) from DOP853 on the whole of liouv.matrix."""
+    d = liouv.dim
+    sol = solve_ivp(lambda t, y: liouv.matrix @ y, (0.0, times[-1]),
+                    rho0.reshape(-1, order="F"), method="DOP853",
+                    t_eval=times, rtol=rtol, atol=atol)
+    assert sol.success
+    rz, rplus, n = zip(*(liouv.expectations(y.reshape(d, d, order="F"))[:3]
+                         for y in sol.y.T))
+    return np.array(rz), np.array(rplus), np.array(n)
 
 
 def test_oracle_takes_nothing_from_the_closed_form():
@@ -158,6 +176,22 @@ class TestBuild:
         m = agree_liouv.matrix
         assert m.nbytes == (m.data.nbytes + m.indices.nbytes
                             + m.indptr.nbytes)
+
+    @pytest.mark.parametrize("n_max", [8, 63])
+    @pytest.mark.parametrize("p", [AGREE_POINT, make(gamma_minus=0.0),
+                                   make(delta=-3.3, nu=7.1)],
+                             ids=["recoil", "dark-channel", "detuned"])
+    def test_no_entry_crosses_parity_sectors(self, p, n_max):
+        # rho_{an,bm} is even when (a + n) and (b + m) have one parity;
+        # the block split evolve relies on holds for the assembled matrix
+        parity = basis_parity(n_max)
+        even = np.equal.outer(parity, parity).reshape(-1, order="F")
+        liouv = build_liouvillian(p, n_max)
+        assert np.array_equal(liouv.even, even)
+        m = liouv.matrix
+        assert m[even][:, ~even].nnz == 0
+        assert m[~even][:, even].nnz == 0
+        assert liouv.even_block.nnz == m[even][:, even].nnz > 0
 
     def test_basis_conventions(self):
         liouv = build_liouvillian(FIG2_POINT, 4)
@@ -300,6 +334,29 @@ class TestEvolve:
         assert res.trace_err.max() < 1e-8
         assert res.herm_defect.max() < 1e-10
         assert res.min_eig.min() > -5e-8
+
+    def test_diagonal_state_matches_full_generator(self):
+        # no odd content: only the even block is integrated, and the odd
+        # entries of every sample stay exactly 0
+        liouv = build_liouvillian(RESONANT_POINT, 8)
+        rho0 = product_state(np.diag([0.7, 0.3]),
+                             thermal_phonon(8, 0.3, cut=3))
+        res = evolve(liouv, rho0, 1.0, n_samples=21, rtol=1e-10, atol=1e-14)
+        rz, _, n = full_generator_run(liouv, rho0, res.times, 1e-10, 1e-14)
+        assert np.abs(res.n - n).max() <= 1e-9
+        assert np.abs(res.rz - rz).max() <= 1e-9
+        parity = basis_parity(8)
+        odd = np.not_equal.outer(parity, parity)
+        assert np.all(res.states[:, odd] == 0.0)
+
+    def test_odd_content_is_integrated(self):
+        # the dressed coherence of MIXED is odd; it must still evolve
+        liouv = build_liouvillian(RESONANT_POINT, 8)
+        rho0 = product_state(MIXED, thermal_phonon(8, 0.3, cut=3))
+        res = evolve(liouv, rho0, 1.0, n_samples=21, rtol=1e-10, atol=1e-14)
+        _, rplus, _ = full_generator_run(liouv, rho0, res.times, 1e-10, 1e-14)
+        assert np.abs(res.rplus - rplus).max() <= 1e-9
+        assert np.abs(res.rplus).min() > 1e-3
 
     def test_truncation_breach_raises(self):
         liouv = build_liouvillian(FIG2_POINT, 2)
