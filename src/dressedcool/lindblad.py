@@ -13,10 +13,14 @@ gamma_minus sin^4(theta) on R+, each in the form
 
 where rho_bar = rho + alpha eta^2 (X rho X - {X^2, rho}/2), X = b + b',
 is the photon-recoil smearing expanded to second order in eta
-(alpha = 2/5). Everything here is solved numerically (sparse LU kernel
-solve certified by scipy's 1-norm estimator, adaptive Runge-Kutta
-integration) on one sparse generator; a steady solve that fails reports
-the certificate that failed (a singular factorization, rcond or
+(alpha = 2/5). The sparse generator is written as sums of Kronecker
+products of the dense operators and evaluated in one numpy pass, entry by
+entry as scipy.sparse.kron and sparse sums evaluate the same expression,
+so the CSR matrix is byte for byte the one those would build. Everything
+here is solved numerically (sparse LU kernel solve certified by scipy's
+1-norm estimator, adaptive Runge-Kutta integration, scipy.integrate
+loaded on first use) on that one generator; a steady solve that fails
+reports the certificate that failed (a singular factorization, rcond or
 residual) in the same form at every dimension. None of the closed-form
 results from the analytic module enter, so agreement between the two is
 a real check.
@@ -25,13 +29,13 @@ a real check.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
-from scipy.integrate import solve_ivp
 
 from .errors import (
     DimensionOverflowError,
@@ -175,12 +179,181 @@ def _checked_dim(n_max: int, cap: int) -> int:
     return dim
 
 
+class _Sum:
+    """The generator written as sparse Kronecker products and their sums.
+
+    `_Sum(None, left, right)` stands for kron(left, right) of two dense
+    (dim, dim) factors; `+`, `-` and `scalar * node` record the operation.
+    _assemble evaluates the whole expression at once.
+    """
+
+    __slots__ = ("op", "args")
+
+    def __init__(self, op, *args):
+        self.op, self.args = op, args
+
+    def __add__(self, other):
+        return _Sum(np.add, self, other)
+
+    def __sub__(self, other):
+        return _Sum(np.subtract, self, other)
+
+    def __rmul__(self, scalar):
+        return _Sum(np.multiply, self, scalar)
+
+
+def _walk(node: _Sum, leaves: list, scalars: list) -> None:
+    """Collect the kron leaves (in evaluation order) and the scalars."""
+    if node.op is None:
+        leaves.append(node)
+    elif node.op is np.multiply:
+        _walk(node.args[0], leaves, scalars)
+        scalars.append(node.args[1])
+    else:
+        for arg in node.args:
+            _walk(arg, leaves, scalars)
+
+
+def _diagonals(factors: list[np.ndarray]):
+    """The diagonals of square matrices that hold a non-zero, as a list of
+    (offsets, values, stored) per matrix: values[k, i] = m[i, i +
+    offsets[k]] where that entry is non-zero (stored[k, i] True), 0 where
+    it is zero. Values are complex; a real factor's products are the same
+    (numpy multiplies a real by a complex array as complex)."""
+    dim = factors[0].shape[0]
+    f, row, col = np.nonzero(np.array([m != 0 for m in factors]))
+    by_factor = np.searchsorted(f, np.arange(len(factors) + 1))
+    diag = col - row + dim - 1
+    seen = np.zeros((len(factors), 2 * dim - 1), bool)
+    seen[f, diag] = True
+    k = (np.cumsum(seen) - 1).reshape(seen.shape)[f, diag]
+    values = np.zeros((np.count_nonzero(seen), dim), complex)
+    values[k, row] = np.concatenate([m[row[a:b], col[a:b]] for m, a, b
+                                     in zip(factors, by_factor, by_factor[1:])])
+    stored = np.zeros(values.shape, bool)
+    stored[k, row] = True
+    offsets = np.nonzero(seen)[1] - (dim - 1)
+    by_diagonal = np.cumsum([0] + seen.sum(axis=1).tolist())
+    return [(offsets[a:b], values[a:b], stored[a:b])
+            for a, b in zip(by_diagonal, by_diagonal[1:])]
+
+
+def _assemble(root: _Sum, dim: int) -> _Generator:
+    """Evaluate a recorded sum into the CSR generator, entry by entry as
+    scipy.sparse evaluates it.
+
+    scipy.sparse.kron stores left * right for every pair of stored factor
+    entries; a scalar multiplies the stored entries; a sum or difference
+    stores the union of its operands' entries, a missing entry counting as
+    +0, and drops every result that is exactly zero; the generator keeps no
+    zeros. The same arithmetic in the same order gives the same matrix,
+    byte for byte, as scipy.sparse krons and sums of the same expression.
+
+    Entry (a dim + b, c dim + d) of kron(left, right) is left[a, c] *
+    right[b, d]: it lies on diagonal oL dim + oR of the generator, where
+    oL = c - a and oR = d - b are diagonals of the two factors. So each
+    pair (oL, oR) of factor diagonals is one block of dim^2 products, one
+    per generator row: the outer product of the two diagonals, missing
+    where either factor entry is. A pair only one leaf reaches is that
+    leaf's alone: its block goes, in place, through the leaf's chain of
+    scalings and of sums with a missing operand (x + 0, 0 - x). The few
+    pairs several leaves share (the main diagonal above all) carry every
+    node's values and missing-entry mask through the full rule, and so do
+    all pairs when a scalar is not finite (inf * 0 is not 0).
+    """
+    d2 = dim * dim
+    leaves, scalars = [], []
+    _walk(root, leaves, scalars)
+    diagonals = _diagonals([m for leaf in leaves for m in leaf.args])
+    pairs = list(zip(diagonals[::2], diagonals[1::2]))
+    for leaf in leaves:     # free the dense factors: a smaller peak
+        leaf.args = ()
+    # (oL, oR) -> oL (2 dim) + oR is one-to-one, as |oR| < dim
+    codes = [(left[0][:, None] * (2 * dim) + right[0]).ravel().tolist()
+             for left, right in pairs]
+    reach = Counter(code for leaf_codes in codes for code in leaf_codes)
+    finite = all(np.isfinite(c) for c in scalars)
+    shared = sorted(code for code, n in reach.items() if n > 1 or not finite)
+    own = [np.array([code not in shared for code in leaf_codes], bool)
+           for leaf_codes in codes]
+    start = np.cumsum([0] + [np.count_nonzero(mine) for mine in own])
+    # one row of `grid` per pair that a leaf owns and per shared pair,
+    # sorted by the generator diagonal each holds: the column order
+    row_codes = np.array([code for leaf_codes, mine in zip(codes, own)
+                          for code, m in zip(leaf_codes, mine) if m] + shared,
+                         dtype=np.int64)
+    shift = row_codes - (row_codes + dim) // (2 * dim) * dim
+    order = np.argsort(shift, kind="stable")
+    row_of = np.empty_like(order)
+    row_of[order] = np.arange(order.size)
+    grid = np.empty((order.size, d2), complex)
+    # evaluate meets the leaves in _walk's order
+    leaf_number = iter(range(len(leaves)))
+
+    def evaluate(node):
+        """(grid rows owned, {shared code: (values, missing)}) of a node."""
+        if node.op is None:
+            k = next(leaf_number)
+            (_, lv, lm), (_, rv, rm) = pairs[k]
+            block = (lv[:, None, :, None] * rv[None, :, None, :]).reshape(-1, d2)
+            missing = ~(lm[:, None, :, None]
+                        & rm[None, :, None, :]).reshape(-1, d2)
+            np.copyto(block, 0, where=missing)
+            rows = row_of[start[k]:start[k + 1]].tolist()
+            grid[rows] = block[own[k]]
+            return rows, {code: (block[j].copy(), missing[j])
+                          for j, code in enumerate(codes[k]) if not own[k][j]}
+        if node.op is np.multiply:
+            (rows, part), c = evaluate(node.args[0]), node.args[1]
+            for r in rows:
+                np.multiply(grid[r], c, out=grid[r])
+            scaled = {}
+            for code, (values, missing) in part.items():
+                values = values * c
+                values[missing] = 0
+                scaled[code] = values, missing
+            return rows, scaled
+        op = node.op
+        rows_x, part_x = evaluate(node.args[0])
+        rows_y, part_y = evaluate(node.args[1])
+        if op is np.add:
+            for r in rows_x + rows_y:
+                np.add(grid[r], 0, out=grid[r])
+        else:   # x - 0 is x
+            for r in rows_y:
+                np.subtract(0, grid[r], out=grid[r])
+        part = {}
+        for code in part_x.keys() | part_y.keys():
+            values = op(part_x[code][0] if code in part_x else 0,
+                        part_y[code][0] if code in part_y else 0)
+            missing = values == 0
+            values[missing] = 0
+            part[code] = values, missing
+        return rows_x + rows_y, part
+
+    _, part = evaluate(root)
+    for j, code in enumerate(shared):
+        grid[row_of[start[-1] + j]] = part[code][0] if code in part else 0
+    stored = (grid != 0).T      # generator rows, their diagonals in order
+    data = grid.T[stored]
+    del grid, part              # before the index arrays: a smaller peak
+    indptr = np.zeros(d2 + 1, np.int32)
+    np.cumsum(stored.sum(axis=1), out=indptr[1:])
+    columns = (np.arange(d2, dtype=np.int32)[:, None]
+               + shift[order].astype(np.int32))
+    return _Generator((data, columns[stored], indptr), shape=(d2, d2))
+
+
 def build_liouvillian(p: PhysicalParams, n_max: int) -> Liouvillian:
     """Assemble the sparse superoperator for `p` on Fock levels 0..n_max.
 
     Basis ordering: index = level * (n_max + 1) + n with level 0 the lower
     dressed state. Vectorization is column-stacking, so vec(A rho B) =
-    kron(B.T, A) vec(rho).
+    kron(B.T, A) vec(rho). The generator is written below as sums of such
+    Kronecker products of the dense operators and evaluated in one numpy
+    pass (_assemble); the CSR matrix is byte for byte the one that
+    scipy.sparse.kron and sparse sums of the same expression build, with
+    int32 indices, sorted, and no stored zeros.
 
     Raises
     ------
@@ -217,8 +390,7 @@ def build_liouvillian(p: PhysicalParams, n_max: int) -> Liouvillian:
     alpha_eta2 = RECOIL_SECOND_MOMENT * p.eta ** 2
 
     def kron(left, right):
-        return scipy.sparse.kron(scipy.sparse.csr_array(left),
-                                 scipy.sparse.csr_array(right), format="csr")
+        return _Sum(None, left, right)
 
     eye = np.eye(dim)
     lmat = -1j * (kron(eye, hamiltonian) - kron(hamiltonian.T, eye))
@@ -239,9 +411,7 @@ def build_liouvillian(p: PhysicalParams, n_max: int) -> Liouvillian:
                 - 0.5 * kron(ax2.conj(), a))
         lmat += (2.0 * rate) * sandwich
         lmat -= rate * (kron(eye, n_op) + kron(n_op.T, eye))
-    lmat = _Generator(lmat)
-    lmat.sum_duplicates()
-    lmat.eliminate_zeros()
+    lmat = _assemble(lmat, dim)
 
     return Liouvillian(params=p, n_max=n_max, dim=dim, matrix=lmat,
                        hamiltonian=hamiltonian, rz_op=rz_op,
@@ -257,8 +427,11 @@ def thermal_phonon(n_max: int, nbar: float, cut: int | None = None) -> np.ndarra
     nbar = 0 gives the vacuum.
 
     `cut` zeroes all populations above that level (hard cutoff) before
-    renormalizing; by default the geometric weights run to n_max.
+    renormalizing; by default the geometric weights run to n_max. An nbar
+    that is negative or not finite raises InvalidParamsError.
     """
+    if not math.isfinite(nbar):
+        raise InvalidParamsError("nbar", f"must be finite, got {nbar}")
     if nbar < 0:
         raise InvalidParamsError("nbar", f"must be >= 0, got {nbar}")
     top = n_max if cut is None else min(cut, n_max)
@@ -290,6 +463,9 @@ def _validate_state(rho: np.ndarray, dim: int) -> np.ndarray:
     if rho.shape != (dim, dim):
         raise InvalidParamsError(
             "rho0", f"state must be {dim}x{dim}, got {rho.shape}")
+    # a nan fails every check below by comparing False
+    if not np.isfinite(rho).all():
+        raise InvalidParamsError("rho0", "state has entries that are not finite")
     trace_err, herm_defect, min_eig = _health(rho)
     if herm_defect > 1e-12:
         raise InvalidParamsError("rho0", "state is not Hermitian (defect > 1e-12)")
@@ -349,6 +525,9 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray, t_end: float, *,
 
     Raises
     ------
+    InvalidParamsError
+        If rho0 is not a dim x dim density matrix with finite entries
+        (Hermitian, unit trace, no eigenvalue below -1e-10).
     InvalidGridError
         If t_end is not finite and >= 0 or n_samples not an integer >= 2.
     TruncationBreachError
@@ -363,6 +542,10 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray, t_end: float, *,
     if not 2 <= n_samples < math.inf or int(n_samples) != n_samples:
         raise InvalidGridError(
             f"n_samples must be an integer >= 2, got {n_samples}")
+
+    # scipy.integrate (with scipy.optimize and more) loads on first use,
+    # not with the package
+    from scipy.integrate import solve_ivp
 
     dim = liouv.dim
     if t_end == 0.0:

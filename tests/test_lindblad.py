@@ -7,11 +7,14 @@ analytic-vs-oracle comparisons at finite eta live in the acceptance suite.
 
 import ast
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from scipy.integrate import solve_ivp
 
 from dressedcool import lindblad
@@ -82,6 +85,43 @@ def full_generator_run(liouv, rho0, times, rtol, atol):
     rz, rplus, n = zip(*(liouv.expectations(y.reshape(d, d, order="F"))[:3]
                          for y in sol.y.T))
     return np.array(rz), np.array(rplus), np.array(n)
+
+
+def kron_generator(liouv):
+    """The generator as scipy.sparse.kron products of the Liouvillian's own
+    dense factors, summed as sparse matrices in build_liouvillian's order:
+    the reference its one-pass assembly must match byte for byte."""
+    def kron(left, right):
+        return scipy.sparse.kron(scipy.sparse.csr_array(left),
+                                 scipy.sparse.csr_array(right), format="csr")
+
+    h, x, x2, alpha = liouv.hamiltonian, liouv.x_op, liouv._x2, liouv.alpha_eta2
+    eye = np.eye(liouv.dim)
+    lmat = -1j * (kron(eye, h) - kron(h.T, eye))
+    for rate, a, _, n_op in liouv.channels:
+        ax, ax2 = a @ x, a @ x2
+        sandwich = kron(a.conj(), a)
+        if alpha != 0.0:
+            sandwich = sandwich + alpha * (
+                kron(ax.conj(), ax)
+                - 0.5 * kron(a.conj(), ax2)
+                - 0.5 * kron(ax2.conj(), a))
+        lmat += (2.0 * rate) * sandwich
+        lmat -= rate * (kron(eye, n_op) + kron(n_op.T, eye))
+    lmat = scipy.sparse.csr_array(lmat)
+    lmat.sum_duplicates()
+    lmat.eliminate_zeros()
+    return lmat
+
+
+def test_package_import_leaves_out_scipy_integrate():
+    # solve_ivp is imported where it runs: scipy.integrate pulls in
+    # scipy.optimize and more, which no closed-form command needs
+    code = ("import sys, dressedcool; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_oracle_takes_nothing_from_the_closed_form():
@@ -193,6 +233,93 @@ class TestBuild:
         assert m[~even][:, even].nnz == 0
         assert liouv.even_block.nnz == m[even][:, even].nnz > 0
 
+    @pytest.mark.parametrize("n_max", [2, 8, 22, 63])
+    @pytest.mark.parametrize("p", [
+        AGREE_POINT, RESONANT_POINT, make(eta=0.0), make(gamma_minus=0.0),
+        make(gamma_zero=0.0),
+        # all three channel rates underflow to 0: a Hamiltonian-only generator
+        make(omega=1e-200, delta=1.0, gamma_plus=0.0, gamma_minus=0.0)],
+        ids=["recoil", "resonant", "eta-0", "gamma-minus-0", "gamma-zero-0",
+             "hamiltonian-only"])
+    def test_matrix_is_the_sparse_kron_sum(self, p, n_max):
+        liouv = build_liouvillian(p, n_max)
+        if p.omega < 1e-100:
+            assert liouv.channels == ()
+        m, ref = liouv.matrix, kron_generator(liouv)
+        assert m.shape == ref.shape
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(m, name), getattr(ref, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), name
+        assert m.indices.dtype == m.indptr.dtype == np.int32
+        assert m.has_canonical_format
+        assert np.count_nonzero(m.data == 0) == 0
+
+    @pytest.mark.parametrize("n_max", [8, 22])
+    @pytest.mark.parametrize("p", [
+        # nu n_max overflows: inf and nan entries in the Hamiltonian
+        make(nu=1e307),
+        # recoil products that underflow to 0
+        make(eta=1e-160),
+        # and with them 2 * gamma_plus cos^4(theta) = inf, a scalar that
+        # is not finite
+        make(delta=100.0, gamma_plus=1e308, eta=1e-160)],
+        ids=["huge-nu", "tiny-eta", "infinite-rate"])
+    def test_matrix_is_the_sparse_kron_sum_beyond_float_range(self, p, n_max):
+        with np.errstate(all="ignore"):
+            liouv = build_liouvillian(p, n_max)
+            ref = kron_generator(liouv)
+        m = liouv.matrix
+        for name in ("data", "indices", "indptr"):
+            assert getattr(m, name).tobytes() == getattr(ref, name).tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_assembly_matches_sparse_sums_on_any_factors(self, seed):
+        # signed zeros, sparse factors and a sum that cancels exactly: the
+        # corners of scipy's rule (a missing entry is +0, a zero sum is
+        # dropped) that smooth operators rarely reach
+        rng = np.random.default_rng(seed)
+        dim = 4
+
+        def factor():
+            m = rng.choice([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0], size=(dim, dim, 2))
+            m[rng.random((dim, dim)) < 0.5] = 0.0
+            return m[..., 0] + 1j * m[..., 1]
+
+        f = [factor() for _ in range(6)]
+        big = math.inf if seed == 5 else 3.0
+
+        def expression(kron):
+            return (-1j * (kron(f[0], f[1]) - kron(f[1].T, f[0]))
+                    + big * (kron(f[2], f[3])
+                             + 0.5 * (kron(f[4], f[5]) - kron(f[4], f[5])))
+                    - 0.25 * (kron(f[3], f[2]) + kron(f[5].conj(), f[4])))
+
+        def sparse_kron(left, right):
+            return scipy.sparse.kron(scipy.sparse.csr_array(left),
+                                     scipy.sparse.csr_array(right), format="csr")
+
+        with np.errstate(all="ignore"):
+            got = lindblad._assemble(
+                expression(lambda left, right: lindblad._Sum(None, left, right)),
+                dim)
+            ref = scipy.sparse.csr_array(expression(sparse_kron))
+        ref.sum_duplicates()
+        ref.eliminate_zeros()
+        for name in ("data", "indices", "indptr"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+
+    def test_missing_entry_counts_as_plus_zero(self):
+        # kron(left, right) stores nothing at (2, 2); times right[0, 0] a
+        # zero there would read 0 - 0j, and (0 - 0j) - 2 keeps the -0j
+        # that 0j - 2, scipy's value, does not have
+        left = np.diag([1.0, 0.0]).astype(complex)
+        right = np.diag([-1.0 - 2.0j, 0.0])
+        got = lindblad._assemble(lindblad._Sum(None, left, right)
+                                 - lindblad._Sum(None, np.eye(2), 2.0 * left), 2)
+        assert got.indices.tolist() == [0, 2]
+        assert got.data[1] == -2.0 and not np.signbit(got.data[1].imag)
+
     def test_basis_conventions(self):
         liouv = build_liouvillian(FIG2_POINT, 4)
         rho = product_state(LOWER, thermal_phonon(4, 0.0))
@@ -229,6 +356,13 @@ class TestStateHelpers:
     def test_thermal_rejects_negative(self):
         with pytest.raises(InvalidParamsError):
             thermal_phonon(10, -0.5)
+
+    @pytest.mark.parametrize("nbar", [math.nan, math.inf])
+    def test_thermal_rejects_non_finite(self, nbar):
+        # nan slipped past "nbar < 0" and gave an all-nan state
+        with pytest.raises(InvalidParamsError) as err:
+            thermal_phonon(10, nbar)
+        assert str(err.value) == f"nbar: must be finite, got {nbar}"
 
     def test_product_shapes(self):
         with pytest.raises(InvalidParamsError):
@@ -267,11 +401,14 @@ class TestEvolve:
         assert evolve(liouv, rho0, 1.0, n_samples=2).times.tolist() == [
             0.0, 1.0]
 
-    @pytest.mark.parametrize("mutate", ["herm", "trace", "shape", "positive"])
+    @pytest.mark.parametrize("mutate", ["herm", "trace", "shape", "positive",
+                                        "nan", "inf"])
     def test_bad_initial_state_rejected(self, mutate):
         liouv = build_liouvillian(FIG2_POINT, 4)
         rho0 = product_state(MIXED, thermal_phonon(4, 0.0))
-        if mutate == "herm":
+        if mutate in ("nan", "inf"):   # every comparison with nan is False
+            rho0[3, 3] = float(mutate)
+        elif mutate == "herm":
             rho0[0, 1] += 1e-6
         elif mutate == "trace":
             rho0 *= 1.001
