@@ -14,24 +14,22 @@ gamma_minus sin^4(theta) on R+, each in the form
 where rho_bar = rho + alpha eta^2 (X rho X - {X^2, rho}/2), X = b + b',
 is the photon-recoil smearing expanded to second order in eta
 (alpha = 2/5). The sparse generator is written as sums of Kronecker
-products of the dense operators and evaluated in one numpy pass, entry by
-entry as scipy.sparse.kron and sparse sums evaluate the same expression,
-so the CSR matrix is byte for byte the one those would build. Everything
-here is solved numerically (sparse LU kernel solve certified by scipy's
-1-norm estimator, adaptive Runge-Kutta integration, scipy.integrate
-loaded on first use) on that one generator; a steady solve that fails
-reports the certificate that failed (a singular factorization, rcond or
-residual) in the same form at every dimension. None of the closed-form
-results from the analytic module enter, so agreement between the two is
-a real check.
+products of the dense operators; its CSR matrix is byte for byte the
+scipy.sparse.kron build's (see _assemble). Everything here is solved
+numerically (sparse LU kernel solve certified by scipy's 1-norm
+estimator, adaptive Runge-Kutta integration, scipy.integrate loaded on
+first use) on that one generator; a steady solve that fails reports the
+certificate that failed (a singular factorization, rcond or residual) in
+the same form at every dimension. None of the closed-form results from
+the analytic module enter, so agreement between the two is a real check.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 import scipy.sparse
@@ -202,16 +200,14 @@ class _Sum:
         return _Sum(np.multiply, self, scalar)
 
 
-def _walk(node: _Sum, leaves: list, scalars: list) -> None:
-    """Collect the kron leaves (in evaluation order) and the scalars."""
+def _walk(node: _Sum, leaves: list) -> None:
+    """Collect the kron leaves in evaluation order."""
     if node.op is None:
         leaves.append(node)
-    elif node.op is np.multiply:
-        _walk(node.args[0], leaves, scalars)
-        scalars.append(node.args[1])
-    else:
-        for arg in node.args:
-            _walk(arg, leaves, scalars)
+        return
+    _walk(node.args[0], leaves)
+    if node.op is not np.multiply:
+        _walk(node.args[1], leaves)
 
 
 def _diagonals(factors: list[np.ndarray]):
@@ -242,105 +238,79 @@ def _assemble(root: _Sum, dim: int) -> _Generator:
     """Evaluate a recorded sum into the CSR generator, entry by entry as
     scipy.sparse evaluates it.
 
-    scipy.sparse.kron stores left * right for every pair of stored factor
-    entries; a scalar multiplies the stored entries; a sum or difference
-    stores the union of its operands' entries, a missing entry counting as
-    +0, and drops every result that is exactly zero; the generator keeps no
-    zeros. The same arithmetic in the same order gives the same matrix,
-    byte for byte, as scipy.sparse krons and sums of the same expression.
+    scipy's rule: scipy.sparse.kron stores left * right for every pair of
+    stored factor entries (a dense factor stores its non-zeros); a scalar
+    multiplies the stored entries; a sum or difference stores the union of
+    its operands' entries, a missing entry counting as +0, and drops every
+    result that is exactly zero; the generator keeps no zeros. The same
+    arithmetic in the same order gives the same matrix, byte for byte, as
+    scipy.sparse krons and sums of the same expression.
 
     Entry (a dim + b, c dim + d) of kron(left, right) is left[a, c] *
     right[b, d]: it lies on diagonal oL dim + oR of the generator, where
     oL = c - a and oR = d - b are diagonals of the two factors. So each
     pair (oL, oR) of factor diagonals is one block of dim^2 products, one
-    per generator row: the outer product of the two diagonals, missing
-    where either factor entry is. A pair only one leaf reaches is that
-    leaf's alone: its block goes, in place, through the leaf's chain of
-    scalings and of sums with a missing operand (x + 0, 0 - x). The few
-    pairs several leaves share (the main diagonal above all) carry every
-    node's values and missing-entry mask through the full rule, and so do
-    all pairs when a scalar is not finite (inf * 0 is not 0).
+    per generator row, and every node of the sum maps the pairs it reaches
+    to (values, stored): values hold +0 wherever nothing is stored, and
+    stored None (after a sum) means the non-zero entries. A leaf is the
+    outer product of its two diagonals, +0 where either factor entry is
+    missing. A scalar multiplies, in place, only the stored entries, so
+    inf * 0 never arises where nothing is stored. A sum applies its
+    operation where both operands reach the pair and resets every exact
+    zero to +0; 0 + y, 0 - y and x + 0 run in place; x - 0 keeps x, less
+    its stored zeros.
     """
     d2 = dim * dim
-    leaves, scalars = [], []
-    _walk(root, leaves, scalars)
+    leaves = []
+    _walk(root, leaves)
     diagonals = _diagonals([m for leaf in leaves for m in leaf.args])
-    pairs = list(zip(diagonals[::2], diagonals[1::2]))
-    for leaf in leaves:     # free the dense factors: a smaller peak
-        leaf.args = ()
-    # (oL, oR) -> oL (2 dim) + oR is one-to-one, as |oR| < dim
-    codes = [(left[0][:, None] * (2 * dim) + right[0]).ravel().tolist()
-             for left, right in pairs]
-    reach = Counter(code for leaf_codes in codes for code in leaf_codes)
-    finite = all(np.isfinite(c) for c in scalars)
-    shared = sorted(code for code, n in reach.items() if n > 1 or not finite)
-    own = [np.array([code not in shared for code in leaf_codes], bool)
-           for leaf_codes in codes]
-    start = np.cumsum([0] + [np.count_nonzero(mine) for mine in own])
-    # one row of `grid` per pair that a leaf owns and per shared pair,
-    # sorted by the generator diagonal each holds: the column order
-    row_codes = np.array([code for leaf_codes, mine in zip(codes, own)
-                          for code, m in zip(leaf_codes, mine) if m] + shared,
-                         dtype=np.int64)
-    shift = row_codes - (row_codes + dim) // (2 * dim) * dim
-    order = np.argsort(shift, kind="stable")
-    row_of = np.empty_like(order)
-    row_of[order] = np.arange(order.size)
-    grid = np.empty((order.size, d2), complex)
-    # evaluate meets the leaves in _walk's order
-    leaf_number = iter(range(len(leaves)))
+    for leaf, left, right in zip(leaves, diagonals[::2], diagonals[1::2]):
+        leaf.args = left, right     # the dense factors go: a smaller peak
 
     def evaluate(node):
-        """(grid rows owned, {shared code: (values, missing)}) of a node."""
+        """{(oL, oR): (values, stored)} of a node."""
         if node.op is None:
-            k = next(leaf_number)
-            (_, lv, lm), (_, rv, rm) = pairs[k]
-            block = (lv[:, None, :, None] * rv[None, :, None, :]).reshape(-1, d2)
-            missing = ~(lm[:, None, :, None]
-                        & rm[None, :, None, :]).reshape(-1, d2)
-            np.copyto(block, 0, where=missing)
-            rows = row_of[start[k]:start[k + 1]].tolist()
-            grid[rows] = block[own[k]]
-            return rows, {code: (block[j].copy(), missing[j])
-                          for j, code in enumerate(codes[k]) if not own[k][j]}
+            (left, lv, lm), (right, rv, rm) = node.args
+            values = (lv[:, None, :, None] * rv[None, :, None, :]).reshape(-1, d2)
+            stored = (lm[:, None, :, None] & rm[None, :, None, :]).reshape(-1, d2)
+            np.copyto(values, 0, where=~stored)
+            return dict(zip(product(left.tolist(), right.tolist()),
+                            zip(values, stored)))
         if node.op is np.multiply:
-            (rows, part), c = evaluate(node.args[0]), node.args[1]
-            for r in rows:
-                np.multiply(grid[r], c, out=grid[r])
-            scaled = {}
-            for code, (values, missing) in part.items():
-                values = values * c
-                values[missing] = 0
-                scaled[code] = values, missing
-            return rows, scaled
-        op = node.op
-        rows_x, part_x = evaluate(node.args[0])
-        rows_y, part_y = evaluate(node.args[1])
-        if op is np.add:
-            for r in rows_x + rows_y:
-                np.add(grid[r], 0, out=grid[r])
-        else:   # x - 0 is x
-            for r in rows_y:
-                np.subtract(0, grid[r], out=grid[r])
+            part, c = evaluate(node.args[0]), node.args[1]
+            for pair, (values, stored) in part.items():
+                if stored is None:
+                    stored = values != 0
+                    part[pair] = values, stored
+                np.multiply(values, c, out=values, where=stored)
+            return part
+        op, x, y = node.op, evaluate(node.args[0]), evaluate(node.args[1])
         part = {}
-        for code in part_x.keys() | part_y.keys():
-            values = op(part_x[code][0] if code in part_x else 0,
-                        part_y[code][0] if code in part_y else 0)
-            missing = values == 0
-            values[missing] = 0
-            part[code] = values, missing
-        return rows_x + rows_y, part
+        for pair, (values, stored) in x.items():
+            if pair in y:
+                op(values, y.pop(pair)[0], out=values)
+                np.copyto(values, 0, where=values == 0)
+            elif op is np.add:          # x + 0
+                np.add(values, 0, out=values)
+            elif stored is not None:    # x - 0 is x, less its stored zeros
+                np.copyto(values, 0, where=values == 0)
+            part[pair] = values, None
+        for pair, (values, _) in y.items():     # 0 + y, 0 - y
+            part[pair] = op(0, values, out=values), None
+        return part
 
-    _, part = evaluate(root)
-    for j, code in enumerate(shared):
-        grid[row_of[start[-1] + j]] = part[code][0] if code in part else 0
+    part = evaluate(root)
+    # the pairs in the order of the generator diagonals they lie on
+    pairs = sorted(part, key=lambda pair: pair[0] * dim + pair[1])
+    grid = np.array([part[pair][0] for pair in pairs], complex).reshape(-1, d2)
+    del part
     stored = (grid != 0).T      # generator rows, their diagonals in order
     data = grid.T[stored]
-    del grid, part              # before the index arrays: a smaller peak
+    del grid                    # before the index arrays: a smaller peak
     indptr = np.zeros(d2 + 1, np.int32)
     np.cumsum(stored.sum(axis=1), out=indptr[1:])
     columns = (np.arange(d2, dtype=np.int32)[:, None]
-               + shift[order].astype(np.int32))
+               + np.array([left * dim + right for left, right in pairs], np.int32))
     return _Generator((data, columns[stored], indptr), shape=(d2, d2))
 
 
@@ -350,15 +320,15 @@ def build_liouvillian(p: PhysicalParams, n_max: int) -> Liouvillian:
     Basis ordering: index = level * (n_max + 1) + n with level 0 the lower
     dressed state. Vectorization is column-stacking, so vec(A rho B) =
     kron(B.T, A) vec(rho). The generator is written below as sums of such
-    Kronecker products of the dense operators and evaluated in one numpy
-    pass (_assemble); the CSR matrix is byte for byte the one that
-    scipy.sparse.kron and sparse sums of the same expression build, with
-    int32 indices, sorted, and no stored zeros.
+    Kronecker products of the dense operators; its CSR matrix (int32
+    indices, sorted, no stored zeros) is byte for byte the
+    scipy.sparse.kron build's (see _assemble).
 
     Raises
     ------
     InvalidParamsError
-        If n_max is not an integer >= 2.
+        If n_max is not an integer >= 2, or eta**2 overflows (eta above
+        about 1.34e154).
     DimensionOverflowError
         If 2 (n_max + 1) exceeds DEFAULT_DIM_CAP, the ceiling on every
         generator (memory and solve time grow steeply with the dimension).
@@ -387,7 +357,11 @@ def build_liouvillian(p: PhysicalParams, n_max: int) -> Liouvillian:
         (p.gamma_plus * f.cos4_theta, rminus_op),
         (p.gamma_minus * f.sin4_theta, rplus_op),
     )
-    alpha_eta2 = RECOIL_SECOND_MOMENT * p.eta ** 2
+    try:
+        alpha_eta2 = RECOIL_SECOND_MOMENT * p.eta ** 2
+    except OverflowError:       # a float power raises where a product is inf
+        raise InvalidParamsError(
+            "eta", f"too large to evaluate: eta**2 overflows at {p.eta!r}") from None
 
     def kron(left, right):
         return _Sum(None, left, right)

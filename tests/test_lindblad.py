@@ -87,14 +87,21 @@ def full_generator_run(liouv, rho0, times, rtol, atol):
     return np.array(rz), np.array(rplus), np.array(n)
 
 
+def sparse_kron(left, right):
+    return scipy.sparse.kron(scipy.sparse.csr_array(left),
+                             scipy.sparse.csr_array(right), format="csr")
+
+
+def one(value):
+    """A 1 x 1 factor."""
+    return np.full((1, 1), value)
+
+
 def kron_generator(liouv):
     """The generator as scipy.sparse.kron products of the Liouvillian's own
     dense factors, summed as sparse matrices in build_liouvillian's order:
     the reference its one-pass assembly must match byte for byte."""
-    def kron(left, right):
-        return scipy.sparse.kron(scipy.sparse.csr_array(left),
-                                 scipy.sparse.csr_array(right), format="csr")
-
+    kron = sparse_kron
     h, x, x2, alpha = liouv.hamiltonian, liouv.x_op, liouv._x2, liouv.alpha_eta2
     eye = np.eye(liouv.dim)
     lmat = -1j * (kron(eye, h) - kron(h.T, eye))
@@ -163,6 +170,13 @@ class TestBuild:
             build_liouvillian(FIG2_POINT, n_max)
         assert err.value.field == "n_max"
 
+    def test_rejects_eta_whose_square_overflows(self):
+        with pytest.raises(InvalidParamsError) as err:
+            build_liouvillian(make(nu=10.0, eta=1e200), 4)
+        assert err.value.field == "eta"
+        assert str(err.value) == (
+            "eta: too large to evaluate: eta**2 overflows at 1e+200")
+
     def test_rejects_dimension_over_cap(self):
         with pytest.raises(DimensionOverflowError):
             build_liouvillian(FIG2_POINT, 64)
@@ -184,16 +198,18 @@ class TestBuild:
 
     def test_apply_matches_matrix(self):
         rng = np.random.default_rng(5)
-        liouv = build_liouvillian(make(delta=-2.0, nu=9.0), 5)
-        d = liouv.dim
-        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        rho = m @ m.conj().T
-        rho /= np.trace(rho)
-        via_apply = liouv.apply(rho)
-        via_matrix = (liouv.matrix @ rho.reshape(-1, order="F")).reshape(
-            d, d, order="F")
-        scale = np.abs(via_matrix).max()
-        assert np.abs(via_apply - via_matrix).max() < 1e-13 * scale
+        # eta = 0 leaves rho unsmeared in apply
+        for p in (make(delta=-2.0, nu=9.0), make(delta=-2.0, nu=9.0, eta=0.0)):
+            liouv = build_liouvillian(p, 5)
+            d = liouv.dim
+            m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            rho = m @ m.conj().T
+            rho /= np.trace(rho)
+            via_apply = liouv.apply(rho)
+            via_matrix = (liouv.matrix @ rho.reshape(-1, order="F")).reshape(
+                d, d, order="F")
+            scale = np.abs(via_matrix).max()
+            assert np.abs(via_apply - via_matrix).max() < 1e-13 * scale
 
     def test_rhs_of_hermitian_is_hermitian(self):
         liouv = build_liouvillian(RESONANT_POINT, 5)
@@ -295,10 +311,6 @@ class TestBuild:
                              + 0.5 * (kron(f[4], f[5]) - kron(f[4], f[5])))
                     - 0.25 * (kron(f[3], f[2]) + kron(f[5].conj(), f[4])))
 
-        def sparse_kron(left, right):
-            return scipy.sparse.kron(scipy.sparse.csr_array(left),
-                                     scipy.sparse.csr_array(right), format="csr")
-
         with np.errstate(all="ignore"):
             got = lindblad._assemble(
                 expression(lambda left, right: lindblad._Sum(None, left, right)),
@@ -309,16 +321,37 @@ class TestBuild:
         for name in ("data", "indices", "indptr"):
             assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
 
-    def test_missing_entry_counts_as_plus_zero(self):
+    @pytest.mark.parametrize("expression, dim, indices, last", [
         # kron(left, right) stores nothing at (2, 2); times right[0, 0] a
         # zero there would read 0 - 0j, and (0 - 0j) - 2 keeps the -0j
         # that 0j - 2, scipy's value, does not have
-        left = np.diag([1.0, 0.0]).astype(complex)
-        right = np.diag([-1.0 - 2.0j, 0.0])
-        got = lindblad._assemble(lindblad._Sum(None, left, right)
-                                 - lindblad._Sum(None, np.eye(2), 2.0 * left), 2)
-        assert got.indices.tolist() == [0, 2]
-        assert got.data[1] == -2.0 and not np.signbit(got.data[1].imag)
+        (lambda kron: kron(np.diag([1.0, 0.0]).astype(complex),
+                           np.diag([-1.0 - 2.0j, 0.0]))
+         - kron(np.eye(2), np.diag([2.0, 0.0]).astype(complex)),
+         2, [0, 2], complex(-2.0, 0.0)),
+        # a sum that cancels to 0 - 0j drops it: its -0j partner then
+        # meets +0, not -0j
+        (lambda kron: (kron(one(complex(1, -0.0)), one(complex(1, -0.0)))
+                       - kron(one(1.0), one(1.0)))
+         + kron(one(complex(2, -0.0)), one(complex(1, -0.0))),
+         1, [0], complex(2.0, 0.0)),
+        # a product that underflows to a stored -0 is dropped by x - 0:
+        # its partner with a -0 real part then meets +0
+        (lambda kron: (kron(one(-1e-200), one(1e-200)) - kron(one(0.0), one(1.0)))
+         + kron(one(complex(-0.0, 1.0)), one(1.0)),
+         1, [0], complex(0.0, 1.0))],
+        ids=["unstored-product", "cancelled-sum", "stored-zero-minus-nothing"])
+    def test_missing_entry_counts_as_plus_zero(self, expression, dim, indices,
+                                               last):
+        got = lindblad._assemble(
+            expression(lambda left, right: lindblad._Sum(None, left, right)), dim)
+        ref = scipy.sparse.csr_array(expression(sparse_kron))
+        ref.sum_duplicates()
+        ref.eliminate_zeros()
+        for name in ("data", "indices", "indptr"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+        assert got.indices.tolist() == indices
+        assert got.data[-1].tobytes() == np.complex128(last).tobytes()
 
     def test_basis_conventions(self):
         liouv = build_liouvillian(FIG2_POINT, 4)

@@ -52,11 +52,14 @@ class TestValidation:
     @pytest.mark.parametrize("field", ["omega", "delta", "nu", "eta",
                                        "gamma_plus", "gamma_minus",
                                        "gamma_zero"])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "abc", None])
     def test_non_finite_rejected(self, field, bad):
         with pytest.raises(InvalidParamsError) as err:
             make(**{field: bad})
         assert err.value.field == field
+        reason = ("must be finite, got" if isinstance(bad, float)
+                  else "not a number:")
+        assert str(err.value) == f"{field}: {reason} {bad!r}"
 
     def test_all_gammas_zero_rejected(self):
         with pytest.raises(InvalidParamsError):

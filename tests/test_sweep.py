@@ -278,7 +278,13 @@ class TestOracleSweeps:
                          grid=(0.9, 1.2), gamma_zero_rule="track_gamma_minus",
                          oracle=True, oracle_n_max=8)
         tab = run_sweep(spec)
-        hot = tab.rows[1]
+        cold, hot = tab.rows
+        # the cooling row runs the oracle, which escalates to the budget
+        assert isinstance(cold.n_s, float)
+        assert cold.oracle_n_s is None
+        assert cold.error.startswith(
+            "oracle TruncationBreachError: phonon number not converged at "
+            "dimension cap 64; history: [(8, ")
         assert is_heating(hot.n_s)
         assert hot.oracle_n_s is None and hot.error is None
 
