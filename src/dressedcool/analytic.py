@@ -101,6 +101,17 @@ class RateSet:
     cooling_rate: float
 
 
+def _square(name: str, value: float) -> float:
+    """value ** 2; where a float power overflows, an OverflowError names
+    the quantity and its value."""
+    try:
+        return value ** 2
+    except OverflowError:
+        term = name if name.isidentifier() else f"({name})"
+        raise OverflowError(
+            f"{term}**2 overflows at {name} = {value!r}") from None
+
+
 class _Ingredients(NamedTuple):
     """The dressed-state quantities every closed-form result is built from."""
 
@@ -113,7 +124,8 @@ class _Ingredients(NamedTuple):
 
     @property
     def lorentzian(self) -> float:
-        return self.gamma_perp ** 2 + self.mismatch ** 2
+        return (_square("gamma_perp", self.gamma_perp)
+                + _square("2*omega_bar - nu", self.mismatch))
 
     def _rate_set(self) -> RateSet:
         a_minus = self.gamma_0_eff + (
@@ -164,9 +176,9 @@ def _ingredients(p: PhysicalParams) -> _Ingredients:
         atom=atom,
         gamma_perp=p.gamma_zero * f.sin2_2theta + down + up,
         gamma_s=total,
-        gamma_0_eff=RECOIL_SECOND_MOMENT * p.eta ** 2 * (
+        gamma_0_eff=RECOIL_SECOND_MOMENT * _square("eta", p.eta) * (
             up * r11 + down * atom.r22 + 0.25 * p.gamma_zero * f.sin2_2theta),
-        k=(p.eta * p.omega) ** 2,
+        k=_square("eta*omega", p.eta * p.omega),
         mismatch=2.0 * f.omega_bar - p.nu,
     )
 

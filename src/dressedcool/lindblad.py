@@ -22,6 +22,14 @@ first use) on that one generator; a steady solve that fails reports the
 certificate that failed (a singular factorization, rcond or residual) in
 the same form at every dimension. None of the closed-form results from
 the analytic module enter, so agreement between the two is a real check.
+
+Time evolution runs in real coordinates. The generator preserves
+Hermiticity, L(rho') = L(rho)', so on the real and imaginary parts of the
+entries of rho it is a real matrix with as many unknowns (the real form of
+a Lindblad generator in a Hermitian operator basis: Gorini, Kossakowski &
+Sudarshan, J. Math. Phys. 17, 821 (1976); Alicki & Lendi, Lect. Notes
+Phys. 286 (1987)); see _real_form. The steady solve factors the complex
+generator.
 """
 
 from __future__ import annotations
@@ -104,9 +112,9 @@ class Liouvillian:
     level a, Fock level n) the parity (a + n) mod 2; no term couples an
     element rho_{an,bm} whose two parities are equal (the even sector) to
     one whose parities differ (the odd sector). `even` marks the even
-    sector of vec(rho), and `even_block` is `matrix` restricted to it,
-    sliced on first use (evolve integrates it when rho0 has no odd
-    content).
+    sector of vec(rho). evolve integrates the real form of the sector rho0
+    occupies (see _real_form); the even sector's form is built on first
+    use and kept, so repeated decays from diagonal states build it once.
     """
 
     params: PhysicalParams
@@ -160,10 +168,66 @@ class Liouvillian:
         return (parity[:, None] == parity[None, :]).reshape(-1, order="F")
 
     @cached_property
-    def even_block(self) -> _Generator:
-        """`matrix` restricted to the even sector (rows and columns)."""
-        index = np.flatnonzero(self.even)
-        return self.matrix[index][:, index]
+    def _even_real_form(self):
+        """_real_form of the even sector."""
+        return _real_form(self.matrix, self.dim, self.even)
+
+
+def _real_form(matrix, dim: int, sector: np.ndarray):
+    """The generator on one sector of vec(rho) in real coordinates.
+
+    Returns (l_r, to_vec, to_real): vec(rho)[sector] = to_vec @ x for a
+    Hermitian rho and real x, to_real = to_vec^-1, and l_r = to_real @
+    matrix[sector][:, sector] @ to_vec, a real CSR matrix. x keeps the
+    slots of vec(rho): slot (i, i) holds rho_ii, slot (i, j) with i < j
+    holds Re rho_ij and slot (j, i) holds Im rho_ij. The sector must be
+    closed under i <-> j, as both parity sectors and the whole of vec(rho)
+    are. Each row of to_vec and to_real has at most two entries (1 or 1/2,
+    times 1, i or -i). The imaginary part of l_r vanishes because the
+    generator preserves Hermiticity; it is checked before it is dropped.
+
+    Raises
+    ------
+    OracleError
+        If the imaginary part of l_r is not within roundoff of 0 (a
+        generator that does not preserve Hermiticity).
+    """
+    index = np.flatnonzero(sector)
+    col, row = np.divmod(index, dim)        # vec index row + col * dim
+    # int32 indices, as `matrix` has, keep the products' indices int32
+    partner = np.searchsorted(index, row * dim + col).astype(np.int32)
+    upper, lower = row < col, row > col
+    off = upper | lower
+    slot = np.arange(len(index), dtype=np.int32)
+    pattern = (np.concatenate([slot, slot[off]]),
+               np.concatenate([slot, partner[off]]))
+
+    def mapping(own, other):
+        """The CSR map with entry own[k] at (k, k) and, off the diagonal of
+        rho, other at (k, partner of k)."""
+        return scipy.sparse.csr_array(
+            (np.concatenate([own, other]), pattern),
+            shape=(len(index),) * 2)
+
+    # vec[k] = x_k on the diagonal, x_k + i x_p at a Re slot k and
+    # x_p - i x_k at an Im slot k, p the partner slot; so x_k = vec[k],
+    # (vec[k] + vec[p]) / 2 and i (vec[k] - vec[p]) / 2
+    to_vec = mapping(np.where(lower, -1j, 1), np.where(upper[off], 1j, 1))
+    to_real = mapping(np.where(upper, 0.5, np.where(lower, 0.5j, 1)),
+                      np.where(upper[off], 0.5, -0.5j))
+    l_c = to_real @ (matrix[index][:, index] @ to_vec)
+    scale = np.abs(l_c.data).max(initial=0.0)
+    imag = np.abs(l_c.data.imag).max(initial=0.0)
+    if imag > 1e-13 * scale:
+        raise OracleError(
+            f"generator does not preserve Hermiticity: the real form has an "
+            f"imaginary part {imag:.3e} (largest entry {scale:.3e})")
+    # a contiguous copy: a strided view would be copied on every product
+    l_r = scipy.sparse.csr_array(
+        (l_c.data.real.copy(), l_c.indices, l_c.indptr), shape=l_c.shape)
+    l_r.eliminate_zeros()
+    l_r.sort_indices()          # canonical CSR, as `matrix` is
+    return l_r, to_vec, to_real
 
 
 def _checked_dim(n_max: int, cap: int) -> int:
@@ -456,8 +520,10 @@ def _validate_state(rho: np.ndarray, dim: int) -> np.ndarray:
 class EvolveResult:
     """Sampled master-equation evolution with per-sample health numbers.
 
-    tail_mass tracks the top two Fock levels; trace_err, herm_defect and
-    min_eig record how well the state kept its density-matrix properties.
+    tail_mass tracks the top two Fock levels; trace_err and min_eig record
+    how well the state kept its density-matrix properties. herm_defect is
+    0 by construction, since evolve integrates real coordinates of a
+    Hermitian matrix, so it does not test the integrator.
     """
 
     times: np.ndarray
@@ -483,12 +549,15 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray, t_end: float, *,
     ends. t_end = 0 returns the initial state as the one sample.
 
     The generator never mixes the parity sectors (see Liouvillian), so
-    only the sectors rho0 occupies are integrated: if every odd entry of
-    vec(rho0) is exactly 0, as for any state diagonal in |a, n>, DOP853
-    runs on `liouv.even_block` (half the unknowns and half the stored
-    entries) and the odd entries of every sample stay exactly 0;
-    otherwise it runs on the full `liouv.matrix`. `states` always holds
-    the full density matrices.
+    only the sectors rho0 occupies are integrated: the even sector if
+    every odd entry of vec(rho0) is exactly 0, as for any state diagonal
+    in |a, n> (half the unknowns and half the stored entries; the odd
+    entries of every sample stay exactly 0), otherwise every entry. DOP853
+    runs on the real form of the generator on that sector (_real_form):
+    the diagonal and the real and imaginary parts of the upper triangle of
+    the Hermitian part of rho0, as many real unknowns as complex ones and
+    real arithmetic throughout. `states` always holds the full complex
+    density matrices, Hermitian by construction (herm_defect 0).
 
     One caveat on the min_eig diagnostic: the second-order recoil
     correction makes the generator only approximately completely
@@ -508,7 +577,8 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray, t_end: float, *,
         If the top-two-Fock-level population exceeds the fixed
         TAIL_MASS_LIMIT (1e-6) at any sample.
     OracleError
-        If the integrator reports failure.
+        If the integrator reports failure, or the generator's real form
+        has an imaginary part beyond roundoff (see _real_form).
     """
     rho0 = _validate_state(rho0, liouv.dim)
     if not math.isfinite(t_end) or t_end < 0:
@@ -528,17 +598,19 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray, t_end: float, *,
     else:
         times = np.linspace(0.0, t_end, int(n_samples))
         y0 = rho0.reshape(-1, order="F")
-        if y0[~liouv.even].any():
-            sector, gen = slice(None), liouv.matrix
+        if y0[~liouv.even].any():       # both sectors: every entry
+            sector = np.ones(dim * dim, dtype=bool)
+            gen, to_vec, to_real = _real_form(liouv.matrix, dim, sector)
         else:
-            sector, gen = liouv.even, liouv.even_block
-        sol = solve_ivp(lambda t, y: gen @ y, (0.0, float(t_end)),
-                        y0[sector], method="DOP853",
+            sector = liouv.even
+            gen, to_vec, to_real = liouv._even_real_form
+        sol = solve_ivp(lambda t, x: gen @ x, (0.0, float(t_end)),
+                        (to_real @ y0[sector]).real, method="DOP853",
                         t_eval=times, rtol=rtol, atol=atol)
         if not sol.success:
             raise OracleError(f"integration failed: {sol.message}")
         y = np.zeros((len(times), dim * dim), dtype=complex)
-        y[:, sector] = sol.y.T
+        y[:, sector] = (to_vec @ sol.y).T
         raw = np.ascontiguousarray(
             y.reshape(-1, dim, dim).transpose(0, 2, 1))
         # (column-stacked vectors: reshape gives rho.T per sample)

@@ -366,6 +366,23 @@ class TestExitCodes:
         assert err.startswith("error: inputs too large to evaluate: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"eta": "1e200"}, "eta**2 overflows at eta = 1e+200"),
+        ({"omega": "1e308", "delta": "1e308"},
+         "(eta*omega)**2 overflows at eta*omega = 2e+306"),
+        ({"nu": "1e200"},
+         "(2*omega_bar - nu)**2 overflows at 2*omega_bar - nu = -1e+200"),
+        ({"gamma_zero": "1e200"},
+         "gamma_perp**2 overflows at gamma_perp = 1e+200"),
+    ], ids=["eta", "eta-omega", "mismatch", "gamma-perp"])
+    @pytest.mark.parametrize("subcommand", ["steady", "validate"])
+    def test_overflow_names_quantity_and_value(self, subcommand, changes,
+                                               message, capsys):
+        code, out, err = run_cli([subcommand] + base_flags(**changes), capsys)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err == f"error: inputs too large to evaluate: {message}\n"
+
     def test_unknown_flag_is_1(self, capsys):
         code, _, _ = run_cli(["steady", "--bogus", "1"], capsys)
         assert code == EXIT_INVALID_INPUT
@@ -587,8 +604,10 @@ class TestSweepCommand:
         header, *rows = csv.reader(io.StringIO(text.split("\n", 2)[2]))
         cells = [dict(zip(header, row)) for row in rows]
         assert cells[0]["error"] == "" and float(cells[0]["c"]) > 0
+        quantity = {"eta": "eta**2", "nu": "(2*omega_bar - nu)**2"}[variable]
         for row in cells[1:]:
-            assert row["error"].startswith("OverflowError: ")
+            assert row["error"].startswith(
+                f"OverflowError: {quantity} overflows at ")
             assert row["n_s"] == ""
             assert (row["c"] != "") == (variable == "nu")
 

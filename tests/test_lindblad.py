@@ -31,6 +31,7 @@ from dressedcool.errors import (
     InvalidGridError,
     InvalidParamsError,
     NoSteadyStateError,
+    OracleError,
     TruncationBreachError,
 )
 from dressedcool.lindblad import (
@@ -76,15 +77,44 @@ def basis_parity(n_max):
 
 
 def full_generator_run(liouv, rho0, times, rtol, atol):
-    """(rz, rplus, n) from DOP853 on the whole of liouv.matrix."""
+    """(rz, rplus, n, states) from DOP853 on the whole complex
+    liouv.matrix: the reference evolve's real coordinates are checked
+    against."""
     d = liouv.dim
     sol = solve_ivp(lambda t, y: liouv.matrix @ y, (0.0, times[-1]),
                     rho0.reshape(-1, order="F"), method="DOP853",
                     t_eval=times, rtol=rtol, atol=atol)
     assert sol.success
-    rz, rplus, n = zip(*(liouv.expectations(y.reshape(d, d, order="F"))[:3]
-                         for y in sol.y.T))
-    return np.array(rz), np.array(rplus), np.array(n)
+    states = sol.y.T.reshape(-1, d, d).transpose(0, 2, 1)
+    rz, rplus, n = zip(*(liouv.expectations(rho)[:3] for rho in states))
+    return np.array(rz), np.array(rplus), np.array(n), states
+
+
+def real_coordinates(dim, index):
+    """(to_vec, to_real) for the slots `index` of column-stacked vec(rho),
+    written slot by slot: slot (i, i) holds rho_ii, slot (i, j) with i < j
+    Re rho_ij and slot (j, i) Im rho_ij."""
+    where = {k: s for s, k in enumerate(index.tolist())}
+    to_vec, to_real = [], []
+    for s, k in enumerate(index.tolist()):
+        i, j = k % dim, k // dim
+        p = where[j + i * dim]
+        if i == j:
+            to_vec.append((s, s, 1))
+            to_real.append((s, s, 1))
+        elif i < j:         # rho_ij = x_s + i x_p
+            to_vec += [(s, s, 1), (s, p, 1j)]
+            to_real += [(s, s, 0.5), (s, p, 0.5)]
+        else:               # rho_ij = conj(rho_ji) = x_p - i x_s
+            to_vec += [(s, p, 1), (s, s, -1j)]
+            to_real += [(s, s, 0.5j), (s, p, -0.5j)]
+
+    def csr(entries):
+        rows, cols, values = zip(*entries)
+        return scipy.sparse.csr_array(
+            (np.array(values, complex), (rows, cols)),
+            shape=(len(index), len(index)))
+    return csr(to_vec), csr(to_real)
 
 
 def sparse_kron(left, right):
@@ -247,7 +277,42 @@ class TestBuild:
         m = liouv.matrix
         assert m[even][:, ~even].nnz == 0
         assert m[~even][:, even].nnz == 0
-        assert liouv.even_block.nnz == m[even][:, even].nnz > 0
+        assert m[even][:, even].nnz > 0
+
+    @pytest.mark.parametrize("sector", ["even", "all"])
+    @pytest.mark.parametrize("n_max", [2, 8, 31, 63])
+    @pytest.mark.parametrize("p", [
+        PhysicalParams(omega=5.0, delta=10.0, nu=12.0, eta=0.05,
+                       gamma_plus=1.0, gamma_minus=1.0, gamma_zero=1.0),
+        make(eta=0.0), make(gamma_minus=0.0), make(delta=-3.3, nu=7.1, eta=0.3)],
+        ids=["criterion-6", "eta-0", "dark-channel", "detuned-eta-0.3"])
+    def test_real_form_is_the_generator_in_real_coordinates(self, p, n_max,
+                                                            sector):
+        # T^-1 L T, with T built here slot by slot, has an imaginary part
+        # of exactly 0 and is the real form evolve integrates; T L_r T^-1
+        # gives back the complex block
+        liouv = build_liouvillian(p, n_max)
+        mask = (liouv.even if sector == "even"
+                else np.ones(liouv.dim ** 2, dtype=bool))
+        index = np.flatnonzero(mask)
+        block = liouv.matrix[index][:, index]
+        to_vec, to_real = real_coordinates(liouv.dim, index)
+        product = to_real @ (block @ to_vec)
+        assert np.all(product.data.imag == 0.0)
+        l_r, helper_to_vec, helper_to_real = lindblad._real_form(
+            liouv.matrix, liouv.dim, mask)
+        assert l_r.dtype == np.float64
+        assert abs(product.real - l_r).max() == 0.0
+        assert abs(helper_to_vec - to_vec).max() == 0.0
+        assert abs(helper_to_real - to_real).max() == 0.0
+        back = to_vec @ l_r @ to_real
+        assert abs(back - block).max() <= 1e-15 * abs(block).max()
+
+    def test_real_form_rejects_a_generator_that_breaks_hermiticity(self):
+        # rho -> i rho maps Hermitian onto anti-Hermitian matrices
+        with pytest.raises(OracleError, match="does not preserve Hermiticity"):
+            lindblad._real_form(scipy.sparse.csr_array(1j * np.eye(4)), 2,
+                                np.ones(4, dtype=bool))
 
     @pytest.mark.parametrize("n_max", [2, 8, 22, 63])
     @pytest.mark.parametrize("p", [
@@ -506,27 +571,35 @@ class TestEvolve:
         assert res.min_eig.min() > -5e-8
 
     def test_diagonal_state_matches_full_generator(self):
-        # no odd content: only the even block is integrated, and the odd
+        # no odd content: only the even sector is integrated, and the odd
         # entries of every sample stay exactly 0
         liouv = build_liouvillian(RESONANT_POINT, 8)
         rho0 = product_state(np.diag([0.7, 0.3]),
                              thermal_phonon(8, 0.3, cut=3))
         res = evolve(liouv, rho0, 1.0, n_samples=21, rtol=1e-10, atol=1e-14)
-        rz, _, n = full_generator_run(liouv, rho0, res.times, 1e-10, 1e-14)
+        rz, _, n, states = full_generator_run(liouv, rho0, res.times,
+                                              1e-10, 1e-14)
         assert np.abs(res.n - n).max() <= 1e-9
         assert np.abs(res.rz - rz).max() <= 1e-9
+        assert np.abs(res.states - states).max() <= 1e-9
         parity = basis_parity(8)
         odd = np.not_equal.outer(parity, parity)
         assert np.all(res.states[:, odd] == 0.0)
+        # real coordinates keep every sample Hermitian by construction, so
+        # herm_defect no longer tests the integrator: the complex run does
+        assert np.all(res.herm_defect == 0.0)
 
     def test_odd_content_is_integrated(self):
         # the dressed coherence of MIXED is odd; it must still evolve
         liouv = build_liouvillian(RESONANT_POINT, 8)
         rho0 = product_state(MIXED, thermal_phonon(8, 0.3, cut=3))
         res = evolve(liouv, rho0, 1.0, n_samples=21, rtol=1e-10, atol=1e-14)
-        _, rplus, _ = full_generator_run(liouv, rho0, res.times, 1e-10, 1e-14)
+        _, rplus, _, states = full_generator_run(liouv, rho0, res.times,
+                                                 1e-10, 1e-14)
         assert np.abs(res.rplus - rplus).max() <= 1e-9
         assert np.abs(res.rplus).min() > 1e-3
+        assert np.abs(res.states - states).max() <= 1e-9
+        assert np.all(res.herm_defect == 0.0)
 
     def test_truncation_breach_raises(self):
         liouv = build_liouvillian(FIG2_POINT, 2)
