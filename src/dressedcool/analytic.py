@@ -10,6 +10,7 @@ d<n>/dt = -C <n> + A_plus, which is what the functions below evaluate.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
@@ -100,6 +101,19 @@ class RateSet:
     a_rate_plus: float
     cooling_rate: float
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            _finite(name, value)
+
+
+def _finite(name: str, value):
+    """value, if finite: the closed form's one rule for its results (the
+    rate set, n_s, C and the validity quantities). A result beyond double
+    range, inf or nan, raises an OverflowError that names it and its value."""
+    if not cmath.isfinite(value):
+        raise OverflowError(f"{name} evaluates to {value!r}")
+    return value
+
 
 def _square(name: str, value: float) -> float:
     """value ** 2; where a float power overflows, an OverflowError names
@@ -152,9 +166,13 @@ class _Ingredients(NamedTuple):
         if self.k == 0.0:
             raise ZeroCouplingError("eta*omega = 0: phonon decoupled, "
                                     "steady phonon number undefined")
-        return (self.atom.r22 / inversion_gap
-                + self.gamma_0_eff * self.lorentzian
-                / (self.k * self.gamma_perp * inversion_gap))
+        recoil = self.gamma_0_eff * self.lorentzian
+        divisor = self.k * self.gamma_perp * inversion_gap
+        if divisor == 0.0:          # k > 0 here: the product underflowed
+            raise OverflowError(
+                "n_s divides by (eta*omega)**2 * gamma_perp * (r11 - r22), "
+                f"which underflows to 0 at (eta*omega)**2 = {self.k!r}")
+        return _finite("n_s", self.atom.r22 / inversion_gap + recoil / divisor)
 
 
 def _ingredients(p: PhysicalParams) -> _Ingredients:
@@ -200,7 +218,8 @@ def rate_set(p: PhysicalParams) -> RateSet:
 
     The cooling_rate field is the difference of the two real coupling rates;
     the standalone cooling_rate() function evaluates the equivalent direct
-    expression, giving an independent route for consistency checks.
+    expression, giving an independent route for consistency checks. A
+    rate beyond double range raises OverflowError (see _finite).
     """
     return _ingredients(p)._rate_set()
 
@@ -212,7 +231,13 @@ def cooling_rate(p: PhysicalParams) -> float:
     positive exactly when the lower dressed level dominates (rz < 0).
     """
     g = _ingredients(p)
-    return -2.0 * g.k * g.gamma_perp * g.atom.rz / g.lorentzian
+    numerator = -2.0 * g.k * g.gamma_perp * g.atom.rz
+    lorentzian = g.lorentzian
+    if lorentzian == 0.0:       # gamma_perp > 0: both squares underflowed
+        raise OverflowError(
+            "cooling_rate divides by gamma_perp**2 + (2*omega_bar - nu)**2, "
+            f"which underflows to 0 at gamma_perp = {g.gamma_perp!r}")
+    return _finite("cooling_rate", numerator / lorentzian)
 
 
 def steady_phonon(p: PhysicalParams) -> float | Heating:
@@ -230,6 +255,9 @@ def steady_phonon(p: PhysicalParams) -> float | Heating:
     ZeroCouplingError
         If eta*omega = 0 while the parameters are on the cooling side: the
         second term is 0/0 and no steady phonon number is defined.
+    OverflowError
+        If the result is not finite (see _finite), or its divisor
+        (eta*omega)^2 * gamma_perp * (r11 - r22) underflows to 0.
     """
     return _ingredients(p)._steady_phonon()
 
@@ -322,8 +350,12 @@ def trajectory(p: PhysicalParams,
     c = rates.cooling_rate
     a_plus_rate = rates.a_rate_plus
 
-    rz = (init.rz - atom.rz) * np.exp(-2.0 * rates.gamma_s * t) + atom.rz
-    rplus = init.rplus * np.exp(-rates.gamma_perp * t)
+    # a decay exponent beyond double range is -inf, and exp gives its
+    # exact limit 0; 2 * (gamma_s * t) keeps t = 0 at 0 where 2 * gamma_s
+    # overflows
+    with np.errstate(over="ignore"):
+        rz = (init.rz - atom.rz) * np.exp(-2.0 * (rates.gamma_s * t)) + atom.rz
+        rplus = init.rplus * np.exp(-rates.gamma_perp * t)
     if c == 0.0:
         n = init.n + a_plus_rate * t
     else:
@@ -409,7 +441,14 @@ class ValidityReport:
 
     def as_dict(self) -> dict:
         """Every field, each check as a dict of its fields, for embedding
-        in outputs."""
+        in outputs. A ratio may be inf (see validity_report); an lhs, rhs
+        or transient_time beyond double range raises here (see _finite),
+        as a document holds only finite numbers, while the report's
+        verdicts stay sound."""
+        for check in self.checks:
+            _finite(f"{check.name} lhs", check.lhs)
+            _finite(f"{check.name} rhs", check.rhs)
+        _finite("transient_time", self.transient_time)
         return asdict(self)
 
 

@@ -350,10 +350,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """argv with each '--flag value', whose value starts with '-' and
+    parses as a float, joined into '--flag=value'. argparse reads a value
+    such as -2e1 as an option: its negative-number pattern has no exponent."""
+    out: list[str] = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if (flag.startswith("--") and "=" not in flag and flag != "--help"
+                and arg.startswith("-") and _parses_as_float(arg)):
+            out[-1] = f"{flag}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
+def _parses_as_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:           # argparse printed usage already
         return EXIT_OK if exc.code in (0, None) else EXIT_INVALID_INPUT
     try:

@@ -13,9 +13,9 @@ gamma_minus sin^4(theta) on R+, each in the form
 
 where rho_bar = rho + alpha eta^2 (X rho X - {X^2, rho}/2), X = b + b',
 is the photon-recoil smearing expanded to second order in eta
-(alpha = 2/5). The sparse generator is written as sums of Kronecker
-products of the dense operators; its CSR matrix is byte for byte the
-scipy.sparse.kron build's (see _assemble). Everything here is solved
+(alpha = 2/5). The sparse generator is one term of each Hermitian mirror
+pair of Kronecker products of the dense operators plus, added exactly, the
+mirror image of their sum (see _assemble). Everything here is solved
 numerically (sparse LU kernel solve certified by scipy's 1-norm
 estimator, adaptive Runge-Kutta integration, scipy.integrate loaded on
 first use) on that one generator; a steady solve that fails reports the
@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 import scipy.sparse
@@ -241,141 +240,44 @@ def _checked_dim(n_max: int, cap: int) -> int:
     return dim
 
 
-class _Sum:
-    """The generator written as sparse Kronecker products and their sums.
+def _assemble(terms, dim: int) -> _Generator:
+    """The generator L = G + S conj(G) S from half of its terms.
 
-    `_Sum(None, left, right)` stands for kron(left, right) of two dense
-    (dim, dim) factors; `+`, `-` and `scalar * node` record the operation.
-    _assemble evaluates the whole expression at once.
-    """
+    G is the sum of c kron(left, right) over the (c, left, right) in
+    `terms`, dense (dim, dim) factors, and S swaps rho_ij and rho_ji in
+    vec(rho). S conj(G) S is the map rho -> G(rho')' (' the adjoint), so L
+    preserves Hermiticity, L(rho') = L(rho)', whatever the terms; the
+    mirror of kron(left, right) is kron(conj(right), conj(left)). A caller
+    lists one term of each mirror pair, and a term that is its own mirror
+    at half its weight.
 
-    __slots__ = ("op", "args")
-
-    def __init__(self, op, *args):
-        self.op, self.args = op, args
-
-    def __add__(self, other):
-        return _Sum(np.add, self, other)
-
-    def __sub__(self, other):
-        return _Sum(np.subtract, self, other)
-
-    def __rmul__(self, scalar):
-        return _Sum(np.multiply, self, scalar)
-
-
-def _walk(node: _Sum, leaves: list) -> None:
-    """Collect the kron leaves in evaluation order."""
-    if node.op is None:
-        leaves.append(node)
-        return
-    _walk(node.args[0], leaves)
-    if node.op is not np.multiply:
-        _walk(node.args[1], leaves)
-
-
-def _diagonals(factors: list[np.ndarray]):
-    """The diagonals of square matrices that hold a non-zero, as a list of
-    (offsets, values, stored) per matrix: values[k, i] = m[i, i +
-    offsets[k]] where that entry is non-zero (stored[k, i] True), 0 where
-    it is zero. Values are complex; a real factor's products are the same
-    (numpy multiplies a real by a complex array as complex)."""
-    dim = factors[0].shape[0]
-    f, row, col = np.nonzero(np.array([m != 0 for m in factors]))
-    by_factor = np.searchsorted(f, np.arange(len(factors) + 1))
-    diag = col - row + dim - 1
-    seen = np.zeros((len(factors), 2 * dim - 1), bool)
-    seen[f, diag] = True
-    k = (np.cumsum(seen) - 1).reshape(seen.shape)[f, diag]
-    values = np.zeros((np.count_nonzero(seen), dim), complex)
-    values[k, row] = np.concatenate([m[row[a:b], col[a:b]] for m, a, b
-                                     in zip(factors, by_factor, by_factor[1:])])
-    stored = np.zeros(values.shape, bool)
-    stored[k, row] = True
-    offsets = np.nonzero(seen)[1] - (dim - 1)
-    by_diagonal = np.cumsum([0] + seen.sum(axis=1).tolist())
-    return [(offsets[a:b], values[a:b], stored[a:b])
-            for a, b in zip(by_diagonal, by_diagonal[1:])]
-
-
-def _assemble(root: _Sum, dim: int) -> _Generator:
-    """Evaluate a recorded sum into the CSR generator, entry by entry as
-    scipy.sparse evaluates it.
-
-    scipy's rule: scipy.sparse.kron stores left * right for every pair of
-    stored factor entries (a dense factor stores its non-zeros); a scalar
-    multiplies the stored entries; a sum or difference stores the union of
-    its operands' entries, a missing entry counting as +0, and drops every
-    result that is exactly zero; the generator keeps no zeros. The same
-    arithmetic in the same order gives the same matrix, byte for byte, as
-    scipy.sparse krons and sums of the same expression.
-
-    Entry (a dim + b, c dim + d) of kron(left, right) is left[a, c] *
-    right[b, d]: it lies on diagonal oL dim + oR of the generator, where
-    oL = c - a and oR = d - b are diagonals of the two factors. So each
-    pair (oL, oR) of factor diagonals is one block of dim^2 products, one
-    per generator row, and every node of the sum maps the pairs it reaches
-    to (values, stored): values hold +0 wherever nothing is stored, and
-    stored None (after a sum) means the non-zero entries. A leaf is the
-    outer product of its two diagonals, +0 where either factor entry is
-    missing. A scalar multiplies, in place, only the stored entries, so
-    inf * 0 never arises where nothing is stored. A sum applies its
-    operation where both operands reach the pair and resets every exact
-    zero to +0; 0 + y, 0 - y and x + 0 run in place; x - 0 keeps x, less
-    its stored zeros.
+    G is one COO sum of the triplets of all terms. Each entry of L is then
+    one sum of two numbers, G's entry and the conjugate of G's entry at
+    the swapped slots, and L's entry at the swapped slots is the conjugate
+    of that same sum. So L = S conj(L) S holds exactly, and the real form
+    (_real_form) has an imaginary part of exactly 0. L is canonical CSR
+    with int32 indices and no stored zeros.
     """
     d2 = dim * dim
-    leaves = []
-    _walk(root, leaves)
-    diagonals = _diagonals([m for leaf in leaves for m in leaf.args])
-    for leaf, left, right in zip(leaves, diagonals[::2], diagonals[1::2]):
-        leaf.args = left, right     # the dense factors go: a smaller peak
-
-    def evaluate(node):
-        """{(oL, oR): (values, stored)} of a node."""
-        if node.op is None:
-            (left, lv, lm), (right, rv, rm) = node.args
-            values = (lv[:, None, :, None] * rv[None, :, None, :]).reshape(-1, d2)
-            stored = (lm[:, None, :, None] & rm[None, :, None, :]).reshape(-1, d2)
-            np.copyto(values, 0, where=~stored)
-            return dict(zip(product(left.tolist(), right.tolist()),
-                            zip(values, stored)))
-        if node.op is np.multiply:
-            part, c = evaluate(node.args[0]), node.args[1]
-            for pair, (values, stored) in part.items():
-                if stored is None:
-                    stored = values != 0
-                    part[pair] = values, stored
-                np.multiply(values, c, out=values, where=stored)
-            return part
-        op, x, y = node.op, evaluate(node.args[0]), evaluate(node.args[1])
-        part = {}
-        for pair, (values, stored) in x.items():
-            if pair in y:
-                op(values, y.pop(pair)[0], out=values)
-                np.copyto(values, 0, where=values == 0)
-            elif op is np.add:          # x + 0
-                np.add(values, 0, out=values)
-            elif stored is not None:    # x - 0 is x, less its stored zeros
-                np.copyto(values, 0, where=values == 0)
-            part[pair] = values, None
-        for pair, (values, _) in y.items():     # 0 + y, 0 - y
-            part[pair] = op(0, values, out=values), None
-        return part
-
-    part = evaluate(root)
-    # the pairs in the order of the generator diagonals they lie on
-    pairs = sorted(part, key=lambda pair: pair[0] * dim + pair[1])
-    grid = np.array([part[pair][0] for pair in pairs], complex).reshape(-1, d2)
-    del part
-    stored = (grid != 0).T      # generator rows, their diagonals in order
-    data = grid.T[stored]
-    del grid                    # before the index arrays: a smaller peak
-    indptr = np.zeros(d2 + 1, np.int32)
-    np.cumsum(stored.sum(axis=1), out=indptr[1:])
-    columns = (np.arange(d2, dtype=np.int32)[:, None]
-               + np.array([left * dim + right for left, right in pairs], np.int32))
-    return _Generator((data, columns[stored], indptr), shape=(d2, d2))
+    rows, cols, values = [], [], []
+    for c, left, right in terms:
+        a, k = np.nonzero(left)
+        b, m = np.nonzero(right)
+        # entry (a dim + b, k dim + m) of kron(left, right) is left[a, k] right[b, m]
+        rows.append((a[:, None] * dim + b).ravel())
+        cols.append((k[:, None] * dim + m).ravel())
+        values.append(((c * left[a, k])[:, None] * right[b, m]).ravel())
+    index = [np.concatenate(rows).astype(np.int32),
+             np.concatenate(cols).astype(np.int32)]
+    g = scipy.sparse.coo_array((np.concatenate(values), index),
+                               shape=(d2, d2)).tocsr()   # sums duplicates
+    # the mirror in COO: vec slot i + j dim of rho_ij goes to j + i dim
+    swap = np.arange(d2, dtype=np.int32).reshape(dim, dim).ravel(order="F")
+    t = g.tocoo()
+    mirror = scipy.sparse.coo_array(
+        (t.data.conj(), (swap[t.row], swap[t.col])), shape=(d2, d2)).tocsr()
+    lmat = g + mirror
+    return _Generator((lmat.data, lmat.indices, lmat.indptr), shape=(d2, d2))
 
 
 def build_liouvillian(p: PhysicalParams, n_max: int) -> Liouvillian:
@@ -383,10 +285,10 @@ def build_liouvillian(p: PhysicalParams, n_max: int) -> Liouvillian:
 
     Basis ordering: index = level * (n_max + 1) + n with level 0 the lower
     dressed state. Vectorization is column-stacking, so vec(A rho B) =
-    kron(B.T, A) vec(rho). The generator is written below as sums of such
-    Kronecker products of the dense operators; its CSR matrix (int32
-    indices, sorted, no stored zeros) is byte for byte the
-    scipy.sparse.kron build's (see _assemble).
+    kron(B.T, A) vec(rho). The generator is listed below as one term of
+    each Hermitian mirror pair of such Kronecker products of the dense
+    operators, and _assemble adds the mirror images. Its CSR matrix has
+    int32 indices, sorted, and no stored zeros.
 
     Raises
     ------
@@ -427,11 +329,11 @@ def build_liouvillian(p: PhysicalParams, n_max: int) -> Liouvillian:
         raise InvalidParamsError(
             "eta", f"too large to evaluate: eta**2 overflows at {p.eta!r}") from None
 
-    def kron(left, right):
-        return _Sum(None, left, right)
-
+    # one term of each mirror pair (see _assemble): -i H rho; per channel
+    # -Gamma A'A rho and, of 2 Gamma A rho_bar A', the parts that are their
+    # own mirror at half weight and one of the two X^2 parts
     eye = np.eye(dim)
-    lmat = -1j * (kron(eye, hamiltonian) - kron(hamiltonian.T, eye))
+    terms = [(-1j, eye, hamiltonian)]
     channels = []
     for rate, a in channel_defs:
         if rate == 0.0:
@@ -439,17 +341,12 @@ def build_liouvillian(p: PhysicalParams, n_max: int) -> Liouvillian:
         a_dag = a.conj().T
         n_op = a_dag @ a
         channels.append((rate, a, a_dag, n_op))
-        ax = a @ x
-        ax2 = a @ x2
-        sandwich = kron(a.conj(), a)
+        terms += [(rate, a.conj(), a), (-rate, eye, n_op)]
         if alpha_eta2 != 0.0:
-            sandwich = sandwich + alpha_eta2 * (
-                kron(ax.conj(), ax)
-                - 0.5 * kron(a.conj(), ax2)
-                - 0.5 * kron(ax2.conj(), a))
-        lmat += (2.0 * rate) * sandwich
-        lmat -= rate * (kron(eye, n_op) + kron(n_op.T, eye))
-    lmat = _assemble(lmat, dim)
+            ax = a @ x
+            terms += [(rate * alpha_eta2, ax.conj(), ax),
+                      (-rate * alpha_eta2, a.conj(), a @ x2)]
+    lmat = _assemble(terms, dim)
 
     return Liouvillian(params=p, n_max=n_max, dim=dim, matrix=lmat,
                        hamiltonian=hamiltonian, rz_op=rz_op,

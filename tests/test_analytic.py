@@ -214,6 +214,16 @@ class TestCoolingRate:
             assert cooling_rate(p) > 0
             assert cooling_rate(p.replace(delta=-delta)) < 0
 
+    def test_underflowed_lorentzian_raises(self):
+        # gamma_perp**2 underflows to 0 and nu = 2 omega_bar exactly
+        p = make(omega=1.0, delta=0.0, nu=2.0, gamma_plus=1e-300,
+                 gamma_minus=1e-300, gamma_zero=1e-300)
+        with pytest.raises(OverflowError, match=(
+                r"^cooling_rate divides by gamma_perp\*\*2 \+ "
+                r"\(2\*omega_bar - nu\)\*\*2, which underflows to 0 at "
+                r"gamma_perp = 1\.5e-300$")):
+            cooling_rate(p)
+
     def test_resonance_cooling_needs_asymmetric_rates(self):
         # delta = 0 cools iff the lower sideband rate dominates
         assert cooling_rate(FIG2_POINT) > 0

@@ -23,6 +23,7 @@ from dressedcool.cli import (
     main,
 )
 from dressedcool.config import (
+    PARAM_KEY_NAMES,
     ConfigError,
     parse_config_text,
     resolve_config,
@@ -47,6 +48,10 @@ gamma_plus = 1
 gamma_minus = 0.2   # trailing comment
 gamma_zero = 0.2
 """
+
+# (eta*omega)**2 * gamma_perp * (r11 - r22), the divisor of n_s, underflows
+UNDERFLOW = {"omega": "1e-160", "delta": "12", "nu": "1.1e154", "eta": "5",
+             "gamma_plus": "1e-160", "gamma_minus": "12", "gamma_zero": "5"}
 
 
 def base_flags(**changes):
@@ -383,6 +388,40 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: inputs too large to evaluate: {message}\n"
 
+    @pytest.mark.parametrize("changes, message", [
+        # the sum of two finite squares overflows
+        ({"nu": "1.1e154", "gamma_zero": "1e154", "delta": "0"},
+         "n_s evaluates to inf"),
+        ({"omega": "1.7e308", "delta": "-0.02", "nu": "0.02", "eta": "1e8",
+          "gamma_plus": "5", "gamma_minus": "0.02", "gamma_zero": "1e-160"},
+         "a_minus evaluates to (nan+nanj)"),
+        # a product underflows to a zero divisor
+        (UNDERFLOW, "n_s divides by (eta*omega)**2 * gamma_perp * "
+         "(r11 - r22), which underflows to 0 at (eta*omega)**2 = 2.5e-319"),
+    ], ids=["inf", "nan", "zero-divisor"])
+    @pytest.mark.parametrize("subcommand, extra", [
+        ("steady", []), ("trajectory", ["--t-end", "1", "--n0", "1"])])
+    def test_result_beyond_double_range_is_1(self, subcommand, extra,
+                                             changes, message, capsys):
+        code, out, err = run_cli(
+            [subcommand] + base_flags(**changes) + extra, capsys)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err == f"error: inputs too large to evaluate: {message}\n"
+
+    def test_negative_value_in_exponent_notation(self, capsys):
+        # argparse alone reads -2e1 as an option
+        code, out, err = run_cli(["steady"] + base_flags(delta="-2e1"), capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["config"]["delta"] == -20.0
+        code, joined, _ = run_cli(
+            ["steady"] + [a for a in BASE_FLAGS if a not in ("--delta", "0")]
+            + ["--delta=-2e1"], capsys)
+        assert (code, joined) == (EXIT_OK, out)
+        code, out, err = run_cli(["steady", "--bogus", "-2e1"], capsys)
+        assert code == EXIT_INVALID_INPUT
+        assert err.startswith("usage: ")
+
     def test_unknown_flag_is_1(self, capsys):
         code, _, _ = run_cli(["steady", "--bogus", "1"], capsys)
         assert code == EXIT_INVALID_INPUT
@@ -610,6 +649,20 @@ class TestSweepCommand:
                 f"OverflowError: {quantity} overflows at ")
             assert row["n_s"] == ""
             assert (row["c"] != "") == (variable == "nu")
+
+    def test_zero_divisor_rows_marked_scan_continues(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            ["sweep"] + base_flags(**UNDERFLOW)
+            + ["--variable", "delta", "--grid-min", "12", "--grid-max", "13",
+               "--grid-count", "2", "--out-dir", str(tmp_path)], capsys)
+        assert code == EXIT_PHYSICS
+        assert err.startswith("error: 2 row error marker(s); first: "
+                              "OverflowError: n_s divides by ")
+        text = (tmp_path / "delta.csv").read_text(encoding="utf-8")
+        header, *rows = csv.reader(io.StringIO(text.split("\n", 2)[2]))
+        for row in (dict(zip(header, row)) for row in rows):
+            assert row["n_s"] == "" and row["rz_s"] == "-1.0"
+            assert row["error"].startswith("OverflowError: n_s divides by ")
 
     def test_dark_sidebands_marked_per_row(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -862,6 +915,77 @@ class TestNoTraceback:
         errors = [line for line in lines
                   if line.startswith(("error:", "oracle error:"))]
         assert errors == lines[-1:]
+
+
+# every parameter is drawn from these values, delta also from their
+# negatives: zero, subnormal, tiny, ordinary, huge and near the double limit
+FUZZ_VALUES = (0.0, 5e-324, 1e-300, 1e-160, 1e-8, 0.02, 1.0, 5.0, 12.0, 1e8,
+               1e154, 1.1e154, 1e200, 1e300, 1.7e308)
+
+
+def non_finite(doc, path=()):
+    """Paths (tuples of keys and indices) of the non-finite floats in a
+    JSON document, which writes them as the strings "inf", "-inf", "nan"."""
+    if isinstance(doc, dict):
+        return [hit for key, value in doc.items()
+                for hit in non_finite(value, path + (key,))]
+    if isinstance(doc, list):
+        return [hit for i, value in enumerate(doc)
+                for hit in non_finite(value, path + (i,))]
+    return [path] if doc in ("inf", "-inf", "nan") else []
+
+
+class TestFuzz:
+    def test_every_input_ends_in_a_documented_outcome(self, capsys, tmp_path):
+        # seeded draws for steady, trajectory and custom sweep rows: a
+        # documented exit code, one error line on failure, no traceback,
+        # and no inf or nan in a clean document but a validity ratio or a
+        # growing trajectory's phonon number
+        rng = np.random.default_rng(2113)
+        for case in range(600):
+            values = [float(v) for v in rng.choice(FUZZ_VALUES, size=7)]
+            values[1] *= rng.choice([-1.0, 1.0])          # delta
+            flags = [arg for name, value in zip(PARAM_KEY_NAMES, values)
+                     for arg in ("--" + name.replace("_", "-"), repr(value))]
+            command = ("steady", "trajectory", "sweep")[case % 3]
+            if command == "trajectory":
+                flags += ["--t-end", "40", "--samples", "5", "--n0", "3",
+                          "--format", "json"]
+            elif command == "sweep":
+                variable = str(rng.choice(["delta", "nu", "eta", "omega",
+                                           "gamma_ratio"]))
+                low, high = sorted(
+                    float(v) for v in rng.choice(FUZZ_VALUES, size=2,
+                                                 replace=False))
+                if variable == "delta":
+                    low, high = -high, low
+                out_dir = tmp_path / str(case)
+                flags += ["--variable", variable, "--grid-min", repr(low),
+                          "--grid-max", repr(high), "--grid-count", "3",
+                          "--format", "json", "--out-dir", str(out_dir)]
+                if variable == "gamma_ratio":
+                    flags += ["--gamma-zero-rule", "fixed"]
+            argv = [command, *flags]
+            code, out, err = run_cli(argv, capsys)
+            assert code in (0, 1, 2, 3), argv
+            assert "Traceback" not in err, argv
+            lines = err.splitlines()
+            errors = [line for line in lines
+                      if line.startswith(("error: ", "oracle error: "))]
+            assert errors == (lines[-1:] if code else []), argv
+            if code:
+                continue
+            if command == "sweep":
+                (document,) = out_dir.iterdir()
+                doc = json.loads(document.read_text(encoding="utf-8"))
+            else:
+                doc = json.loads(out)
+            growing = doc.get("summary", {}).get("phonon_growing")
+            for path in non_finite(doc):
+                assert (path[-1] == "ratio"
+                        or (growing and path[0] == "rows"
+                            and path[2] == doc["columns"].index("n"))
+                        ), (argv, path)
 
 
 # case: (argv, sha256 as json, sha256 as csv) of closed-form documents
