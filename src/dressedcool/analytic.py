@@ -133,6 +133,7 @@ class _Ingredients(NamedTuple):
     gamma_perp: float    # dressed-coherence damping
     gamma_s: float       # sideband weight sum; populations relax at 2*gamma_s
     gamma_0_eff: float   # recoil diffusion floor
+    coupling: float      # eta*omega
     k: float             # (eta*omega)^2
     mismatch: float      # 2*omega_bar - nu, distance from the red sideband
 
@@ -163,9 +164,12 @@ class _Ingredients(NamedTuple):
         inversion_gap = -self.atom.rz   # r11 - r22, exact sign
         if inversion_gap <= _BALANCE_TOL:
             return HEATING
-        if self.k == 0.0:
+        if self.coupling == 0.0:
             raise ZeroCouplingError("eta*omega = 0: phonon decoupled, "
                                     "steady phonon number undefined")
+        if self.k == 0.0:
+            raise OverflowError("(eta*omega)**2 underflows to 0 at "
+                                f"eta*omega = {self.coupling!r}")
         recoil = self.gamma_0_eff * self.lorentzian
         divisor = self.k * self.gamma_perp * inversion_gap
         if divisor == 0.0:          # k > 0 here: the product underflowed
@@ -190,13 +194,15 @@ def _ingredients(p: PhysicalParams) -> _Ingredients:
     rz = (up - down) / total
     atom = SteadyAtom(r11=r11, r22=1.0 - r11, rz=rz,
                       sz=0.5 * f.cos_2theta * rz)
+    coupling = p.eta * p.omega
     return _Ingredients(
         atom=atom,
         gamma_perp=p.gamma_zero * f.sin2_2theta + down + up,
         gamma_s=total,
         gamma_0_eff=RECOIL_SECOND_MOMENT * _square("eta", p.eta) * (
             up * r11 + down * atom.r22 + 0.25 * p.gamma_zero * f.sin2_2theta),
-        k=_square("eta*omega", p.eta * p.omega),
+        coupling=coupling,
+        k=_square("eta*omega", coupling),
         mismatch=2.0 * f.omega_bar - p.nu,
     )
 
@@ -256,8 +262,9 @@ def steady_phonon(p: PhysicalParams) -> float | Heating:
         If eta*omega = 0 while the parameters are on the cooling side: the
         second term is 0/0 and no steady phonon number is defined.
     OverflowError
-        If the result is not finite (see _finite), or its divisor
-        (eta*omega)^2 * gamma_perp * (r11 - r22) underflows to 0.
+        If the result is not finite (see _finite), or (eta*omega)^2 or
+        the divisor (eta*omega)^2 * gamma_perp * (r11 - r22) underflows
+        to 0 while eta*omega does not.
     """
     return _ingredients(p)._steady_phonon()
 

@@ -13,23 +13,22 @@ gamma_minus sin^4(theta) on R+, each in the form
 
 where rho_bar = rho + alpha eta^2 (X rho X - {X^2, rho}/2), X = b + b',
 is the photon-recoil smearing expanded to second order in eta
-(alpha = 2/5). The sparse generator is one term of each Hermitian mirror
-pair of Kronecker products of the dense operators plus, added exactly, the
-mirror image of their sum (see _assemble). Everything here is solved
-numerically (sparse LU kernel solve certified by scipy's 1-norm
-estimator, adaptive Runge-Kutta integration, scipy.integrate loaded on
-first use) on that one generator; a steady solve that fails reports the
-certificate that failed (a singular factorization, rcond or residual) in
-the same form at every dimension. None of the closed-form results from
-the analytic module enter, so agreement between the two is a real check.
+(alpha = 2/5).
 
-Time evolution runs in real coordinates. The generator preserves
-Hermiticity, L(rho') = L(rho)', so on the real and imaginary parts of the
-entries of rho it is a real matrix with as many unknowns (the real form of
-a Lindblad generator in a Hermitian operator basis: Gorini, Kossakowski &
-Sudarshan, J. Math. Phys. 17, 821 (1976); Alicki & Lendi, Lect. Notes
-Phys. 286 (1987)); see _real_form. The steady solve factors the complex
-generator.
+The generator preserves Hermiticity, L(rho') = L(rho)', so on the real
+and imaginary parts of the entries of rho it is a real matrix with as many
+unknowns (the real form of a Lindblad generator in a Hermitian operator
+basis: Gorini, Kossakowski & Sudarshan, J. Math. Phys. 17, 821 (1976);
+Alicki & Lendi, Lect. Notes Phys. 286 (1987)). That real matrix is the one
+generator here, built from one term of each Hermitian mirror pair of
+Kronecker products of the dense operators (see _assemble). Everything is
+solved numerically on it (sparse real LU kernel solve certified by scipy's
+1-norm estimator, adaptive Runge-Kutta integration, scipy.integrate loaded
+on first use); a failed steady solve reports the certificate that failed
+(a singular factorization, rcond or residual) in the same form at every
+dimension. Every state is rebuilt from real coordinates, so it is
+Hermitian by construction. Nothing from the analytic module enters, so
+agreement between the two is a real check.
 """
 
 from __future__ import annotations
@@ -73,8 +72,8 @@ __all__ = [
 
 # Largest allowed total Hilbert-space dimension D = 2 (n_max + 1), the ceiling
 # on every generator and escalation budget. The superoperator is D^2 x D^2 but
-# sparse, with about 17 D^2 stored entries; at the cap one steady-state solve
-# takes under a second and about 130 MB, mostly sparse LU fill-in.
+# sparse, with about 18 D^2 stored entries; at the cap one steady-state solve
+# takes under a second and about 75 MB, mostly sparse LU fill-in.
 DEFAULT_DIM_CAP = 128
 
 # Fixed certificate thresholds: every steady state needs a reciprocal
@@ -100,20 +99,21 @@ class _Generator(scipy.sparse.csr_array):
 
 @dataclass(eq=False)
 class Liouvillian:
-    """Sparse generator of the master equation on vectorized density matrices.
+    """Sparse generator of the master equation in real coordinates.
 
-    `matrix` (CSR, sorted indices, no stored zeros) acts on column-stacked
-    rho and is the full generator, the one steady_state uses; `apply`
-    evaluates the same right-hand side from the dense operator factors
-    directly (an independent cross-check of the vectorization).
+    `matrix` (float64 CSR, sorted int32 indices, no stored zeros) acts on
+    the real coordinates x of column-stacked vec(rho): slot (i, i) holds
+    rho_ii, slot (i, j) with i < j Re rho_ij and slot (j, i) Im rho_ij.
+    steady_state factors it and evolve integrates it. `apply` evaluates
+    the complex right-hand side from the dense operator factors directly
+    (an independent cross-check of the vectorization).
 
     The generator has a Z2 weak symmetry: give basis state |a, n> (dressed
     level a, Fock level n) the parity (a + n) mod 2; no term couples an
     element rho_{an,bm} whose two parities are equal (the even sector) to
     one whose parities differ (the odd sector). `even` marks the even
-    sector of vec(rho). evolve integrates the real form of the sector rho0
-    occupies (see _real_form); the even sector's form is built on first
-    use and kept, so repeated decays from diagonal states build it once.
+    sector of vec(rho), and so of x. evolve integrates the block of the
+    sectors rho0 occupies; the even block is sliced once and kept.
     """
 
     params: PhysicalParams
@@ -167,66 +167,31 @@ class Liouvillian:
         return (parity[:, None] == parity[None, :]).reshape(-1, order="F")
 
     @cached_property
-    def _even_real_form(self):
-        """_real_form of the even sector."""
-        return _real_form(self.matrix, self.dim, self.even)
+    def _even_block(self) -> scipy.sparse.csr_array:
+        """The generator on the even sector, matrix[even][:, even]."""
+        return self.matrix[self.even][:, self.even]
 
 
-def _real_form(matrix, dim: int, sector: np.ndarray):
-    """The generator on one sector of vec(rho) in real coordinates.
+def _to_real(rho: np.ndarray) -> np.ndarray:
+    """Real coordinates of Hermitian rho (..., dim, dim) as a matrix X with
+    vec(X) = x: X_ij = Re rho_ij for i <= j and X_ji = Im rho_ij for i < j.
+    Only the upper triangle of rho is read."""
+    upper = np.triu(np.ones(rho.shape[-2:], dtype=bool))
+    return np.where(upper, rho.real, rho.imag.swapaxes(-1, -2))
 
-    Returns (l_r, to_vec, to_real): vec(rho)[sector] = to_vec @ x for a
-    Hermitian rho and real x, to_real = to_vec^-1, and l_r = to_real @
-    matrix[sector][:, sector] @ to_vec, a real CSR matrix. x keeps the
-    slots of vec(rho): slot (i, i) holds rho_ii, slot (i, j) with i < j
-    holds Re rho_ij and slot (j, i) holds Im rho_ij. The sector must be
-    closed under i <-> j, as both parity sectors and the whole of vec(rho)
-    are. Each row of to_vec and to_real has at most two entries (1 or 1/2,
-    times 1, i or -i). The imaginary part of l_r vanishes because the
-    generator preserves Hermiticity; it is checked before it is dropped.
 
-    Raises
-    ------
-    OracleError
-        If the imaginary part of l_r is not within roundoff of 0 (a
-        generator that does not preserve Hermiticity).
-    """
-    index = np.flatnonzero(sector)
-    col, row = np.divmod(index, dim)        # vec index row + col * dim
-    # int32 indices, as `matrix` has, keep the products' indices int32
-    partner = np.searchsorted(index, row * dim + col).astype(np.int32)
-    upper, lower = row < col, row > col
-    off = upper | lower
-    slot = np.arange(len(index), dtype=np.int32)
-    pattern = (np.concatenate([slot, slot[off]]),
-               np.concatenate([slot, partner[off]]))
-
-    def mapping(own, other):
-        """The CSR map with entry own[k] at (k, k) and, off the diagonal of
-        rho, other at (k, partner of k)."""
-        return scipy.sparse.csr_array(
-            (np.concatenate([own, other]), pattern),
-            shape=(len(index),) * 2)
-
-    # vec[k] = x_k on the diagonal, x_k + i x_p at a Re slot k and
-    # x_p - i x_k at an Im slot k, p the partner slot; so x_k = vec[k],
-    # (vec[k] + vec[p]) / 2 and i (vec[k] - vec[p]) / 2
-    to_vec = mapping(np.where(lower, -1j, 1), np.where(upper[off], 1j, 1))
-    to_real = mapping(np.where(upper, 0.5, np.where(lower, 0.5j, 1)),
-                      np.where(upper[off], 0.5, -0.5j))
-    l_c = to_real @ (matrix[index][:, index] @ to_vec)
-    scale = np.abs(l_c.data).max(initial=0.0)
-    imag = np.abs(l_c.data.imag).max(initial=0.0)
-    if imag > 1e-13 * scale:
-        raise OracleError(
-            f"generator does not preserve Hermiticity: the real form has an "
-            f"imaginary part {imag:.3e} (largest entry {scale:.3e})")
-    # a contiguous copy: a strided view would be copied on every product
-    l_r = scipy.sparse.csr_array(
-        (l_c.data.real.copy(), l_c.indices, l_c.indptr), shape=l_c.shape)
-    l_r.eliminate_zeros()
-    l_r.sort_indices()          # canonical CSR, as `matrix` is
-    return l_r, to_vec, to_real
+def _from_real(xmat: np.ndarray) -> np.ndarray:
+    """The Hermitian rho (..., dim, dim) with real coordinates xmat, the
+    inverse of _to_real, written with no temporary arrays."""
+    upper = np.triu(np.ones(xmat.shape[-2:], dtype=bool))
+    lower = ~upper
+    xmat_t = xmat.swapaxes(-1, -2)
+    rho = np.zeros(xmat.shape, dtype=complex)
+    np.copyto(rho.real, xmat, where=upper)
+    np.copyto(rho.real, xmat_t, where=lower)
+    np.copyto(rho.imag, xmat_t, where=lower.T)
+    np.negative(xmat, out=rho.imag, where=lower)
+    return rho
 
 
 def _checked_dim(n_max: int, cap: int) -> int:
@@ -241,22 +206,24 @@ def _checked_dim(n_max: int, cap: int) -> int:
 
 
 def _assemble(terms, dim: int) -> _Generator:
-    """The generator L = G + S conj(G) S from half of its terms.
+    """The generator in real coordinates, L_r = 2 Re(T^-1 G T), from half
+    of its terms.
 
     G is the sum of c kron(left, right) over the (c, left, right) in
-    `terms`, dense (dim, dim) factors, and S swaps rho_ij and rho_ji in
-    vec(rho). S conj(G) S is the map rho -> G(rho')' (' the adjoint), so L
-    preserves Hermiticity, L(rho') = L(rho)', whatever the terms; the
-    mirror of kron(left, right) is kron(conj(right), conj(left)). A caller
-    lists one term of each mirror pair, and a term that is its own mirror
-    at half its weight.
+    `terms`, dense (dim, dim) factors, and vec(rho) = T x for Hermitian
+    rho and its real coordinates x (see Liouvillian). The complex
+    generator L = G + S conj(G) S, S the swap of rho_ij and rho_ji in
+    vec(rho), preserves Hermiticity whatever the terms (the mirror of
+    kron(left, right) is kron(conj(right), conj(left))); a caller lists
+    one term of each mirror pair, and a term that is its own mirror at
+    half its weight. As S T = conj(T), T^-1 L T = 2 Re(T^-1 G T).
 
-    G is one COO sum of the triplets of all terms. Each entry of L is then
-    one sum of two numbers, G's entry and the conjugate of G's entry at
-    the swapped slots, and L's entry at the swapped slots is the conjugate
-    of that same sum. So L = S conj(L) S holds exactly, and the real form
-    (_real_form) has an imaginary part of exactly 0. L is canonical CSR
-    with int32 indices and no stored zeros.
+    Each row of T and column of T^-1 has an entry at the slot itself and,
+    off the diagonal of rho, one at its partner slot. So the real or the
+    imaginary part of a triplet of G lands on its row and its row's
+    partner, each at the one column (its own or its partner) where the
+    product is real; one COO sum gives L_r as canonical float64 CSR with
+    int32 indices and no stored zeros. No weight is 0, so no 0 * inf.
     """
     d2 = dim * dim
     rows, cols, values = [], [], []
@@ -267,16 +234,42 @@ def _assemble(terms, dim: int) -> _Generator:
         rows.append((a[:, None] * dim + b).ravel())
         cols.append((k[:, None] * dim + m).ravel())
         values.append(((c * left[a, k])[:, None] * right[b, m]).ravel())
-    index = [np.concatenate(rows).astype(np.int32),
-             np.concatenate(cols).astype(np.int32)]
-    g = scipy.sparse.coo_array((np.concatenate(values), index),
-                               shape=(d2, d2)).tocsr()   # sums duplicates
-    # the mirror in COO: vec slot i + j dim of rho_ij goes to j + i dim
-    swap = np.arange(d2, dtype=np.int32).reshape(dim, dim).ravel(order="F")
-    t = g.tocoo()
-    mirror = scipy.sparse.coo_array(
-        (t.data.conj(), (swap[t.row], swap[t.col])), shape=(d2, d2)).tocsr()
-    lmat = g + mirror
+    r = np.concatenate(rows).astype(np.int32)
+    c = np.concatenate(cols).astype(np.int32)
+    v = np.concatenate(values)
+    # the real and the imaginary parts as separate triplets: v i^phase
+    re, im = v.real != 0.0, v.imag != 0.0
+    r, c = np.concatenate([r[re], r[im]]), np.concatenate([c[re], c[im]])
+    v = np.concatenate([v.real[re], v.imag[im]])
+    phase = np.repeat(np.array([0, 1], dtype=np.int8), [re.sum(), im.sum()])
+    # slot i + j dim holds rho_ij: kind 0 on the diagonal, 1 for i < j
+    # (Re rho_ij), 2 for i > j (Im rho_ji); p is the partner slot
+    j, i = np.divmod(np.arange(d2, dtype=np.int32), dim)
+    partner = i * dim + j
+    kind = ((i < j) + 2 * (i > j)).astype(np.int8)
+    # rows: x_k = vec[k], (vec[k] + vec[p]) / 2 or i (vec[k] - vec[p]) / 2,
+    # so 2 T^-1 has (2, 1, i) at (k, k) and (-i, 1) at (p, k) by kind of k
+    kr = kind[r]
+    off = kr != 0
+    v[~off] *= 2.0
+    r = np.concatenate([r, partner[r[off]]])
+    c = np.concatenate([c, c[off]])
+    v = np.concatenate([v, v[off]])
+    phase = np.concatenate([phase + np.array([0, 0, 1], np.int8)[kr],
+                            phase[off] + np.array([0, 3, 0], np.int8)[kr[off]]])
+    # columns: vec[k] = x_k, x_k + i x_p or x_p - i x_k, so T has (1, 1,
+    # -i) at (k, k) and (i, 1) at (k, p); the entry at (k, p) is i times
+    # the one at (k, k), so exactly one of the two gives a real product
+    # (none where a diagonal slot's own product is imaginary: set to 0)
+    kc = kind[c]
+    phase += np.array([0, 0, 3], np.int8)[kc]
+    odd = (phase & 1).astype(bool)
+    c[odd] = partner[c[odd]]
+    v[odd & (kc == 0)] = 0.0
+    np.negative(v, out=v, where=((phase + odd) & 2).astype(bool))
+    lmat = scipy.sparse.coo_array((v, (r, c)),
+                                  shape=(d2, d2)).tocsr()   # sums duplicates
+    lmat.eliminate_zeros()
     return _Generator((lmat.data, lmat.indices, lmat.indptr), shape=(d2, d2))
 
 
@@ -287,14 +280,16 @@ def build_liouvillian(p: PhysicalParams, n_max: int) -> Liouvillian:
     dressed state. Vectorization is column-stacking, so vec(A rho B) =
     kron(B.T, A) vec(rho). The generator is listed below as one term of
     each Hermitian mirror pair of such Kronecker products of the dense
-    operators, and _assemble adds the mirror images. Its CSR matrix has
-    int32 indices, sorted, and no stored zeros.
+    operators, and _assemble builds its real form from them: float64 CSR
+    with int32 indices, sorted, and no stored zeros.
 
     Raises
     ------
     InvalidParamsError
-        If n_max is not an integer >= 2, or eta**2 overflows (eta above
-        about 1.34e154).
+        If n_max is not an integer >= 2, eta**2 overflows (eta above
+        about 1.34e154), or the generator has an entry beyond double range
+        at this n_max (nu * n_max or twice a channel rate above about
+        1.8e308).
     DimensionOverflowError
         If 2 (n_max + 1) exceeds DEFAULT_DIM_CAP, the ceiling on every
         generator (memory and solve time grow steeply with the dimension).
@@ -347,6 +342,10 @@ def build_liouvillian(p: PhysicalParams, n_max: int) -> Liouvillian:
             terms += [(rate * alpha_eta2, ax.conj(), ax),
                       (-rate * alpha_eta2, a.conj(), a @ x2)]
     lmat = _assemble(terms, dim)
+    if not np.isfinite(lmat.data).all():
+        raise InvalidParamsError(
+            "n_max", "too large to evaluate: the generator has an entry "
+            f"beyond double range at n_max = {n_max}")
 
     return Liouvillian(params=p, n_max=n_max, dim=dim, matrix=lmat,
                        hamiltonian=hamiltonian, rz_op=rz_op,
@@ -446,15 +445,13 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray, t_end: float, *,
     ends. t_end = 0 returns the initial state as the one sample.
 
     The generator never mixes the parity sectors (see Liouvillian), so
-    only the sectors rho0 occupies are integrated: the even sector if
-    every odd entry of vec(rho0) is exactly 0, as for any state diagonal
-    in |a, n> (half the unknowns and half the stored entries; the odd
-    entries of every sample stay exactly 0), otherwise every entry. DOP853
-    runs on the real form of the generator on that sector (_real_form):
-    the diagonal and the real and imaginary parts of the upper triangle of
-    the Hermitian part of rho0, as many real unknowns as complex ones and
-    real arithmetic throughout. `states` always holds the full complex
-    density matrices, Hermitian by construction (herm_defect 0).
+    DOP853 runs on the block of `matrix` for the sectors rho0 occupies:
+    the even one if every odd entry of rho0 is exactly 0, as for any
+    state diagonal in |a, n> (half the unknowns; the odd entries of every
+    sample stay exactly 0), otherwise all. Its unknowns are the real
+    coordinates of rho0, in real arithmetic throughout. `states` holds
+    the full complex density matrices, rebuilt from real coordinates and
+    so Hermitian by construction (herm_defect 0).
 
     One caveat on the min_eig diagnostic: the second-order recoil
     correction makes the generator only approximately completely
@@ -474,8 +471,7 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray, t_end: float, *,
         If the top-two-Fock-level population exceeds the fixed
         TAIL_MASS_LIMIT (1e-6) at any sample.
     OracleError
-        If the integrator reports failure, or the generator's real form
-        has an imaginary part beyond roundoff (see _real_form).
+        If the integrator reports failure.
     """
     rho0 = _validate_state(rho0, liouv.dim)
     if not math.isfinite(t_end) or t_end < 0:
@@ -494,36 +490,23 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray, t_end: float, *,
         raw = rho0[np.newaxis, :, :]
     else:
         times = np.linspace(0.0, t_end, int(n_samples))
-        y0 = rho0.reshape(-1, order="F")
-        if y0[~liouv.even].any():       # both sectors: every entry
-            sector = np.ones(dim * dim, dtype=bool)
-            gen, to_vec, to_real = _real_form(liouv.matrix, dim, sector)
+        x0 = _to_real(rho0).reshape(-1, order="F")
+        if x0[~liouv.even].any():       # both sectors: every entry
+            sector, gen = np.ones(dim * dim, dtype=bool), liouv.matrix
         else:
-            sector = liouv.even
-            gen, to_vec, to_real = liouv._even_real_form
+            sector, gen = liouv.even, liouv._even_block
         sol = solve_ivp(lambda t, x: gen @ x, (0.0, float(t_end)),
-                        (to_real @ y0[sector]).real, method="DOP853",
+                        x0[sector], method="DOP853",
                         t_eval=times, rtol=rtol, atol=atol)
         if not sol.success:
             raise OracleError(f"integration failed: {sol.message}")
-        y = np.zeros((len(times), dim * dim), dtype=complex)
-        y[:, sector] = (to_vec @ sol.y).T
-        raw = np.ascontiguousarray(
-            y.reshape(-1, dim, dim).transpose(0, 2, 1))
-        # (column-stacked vectors: reshape gives rho.T per sample)
+        x = np.zeros((len(times), dim * dim))
+        x[:, sector] = sol.y.T
+        # column-stacked vectors: reshape gives X.T per sample
+        raw = _from_real(x.reshape(-1, dim, dim).swapaxes(1, 2))
 
-    k = raw.shape[0]
-    rz = np.empty(k)
-    rplus = np.empty(k, dtype=complex)
-    n = np.empty(k)
-    tail = np.empty(k)
-    trace_err = np.empty(k)
-    herm = np.empty(k)
-    min_eig = np.empty(k)
-    for i in range(k):
-        rho = raw[i]
-        rz[i], rplus[i], n[i], tail[i] = liouv.expectations(rho)
-        trace_err[i], herm[i], min_eig[i] = _health(rho)
+    rz, rplus, n, tail = map(np.array, zip(*map(liouv.expectations, raw)))
+    trace_err, herm, min_eig = map(np.array, zip(*map(_health, raw)))
     if tail.max() > TAIL_MASS_LIMIT:
         worst = int(np.argmax(tail))
         raise TruncationBreachError(
@@ -542,8 +525,10 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray, t_end: float, *,
 class SteadyStateResult:
     """Kernel solution of the generator with numerical certificates.
 
-    residual is the infinity norm of L vec(rho) for the returned state;
-    rcond estimates the conditioning of the trace-constrained solve.
+    residual is the infinity norm of L_r x for the real coordinates x of
+    the state before its trace is normalized; rcond estimates the
+    conditioning of the trace-constrained solve. herm_defect is 0 by
+    construction: rho is rebuilt from real coordinates.
     """
 
     rho: np.ndarray
@@ -561,35 +546,37 @@ class SteadyStateResult:
 
 
 def _inverse_norm1_estimate(lu) -> float:
-    """Lower bound on ||A^-1||_1 from the sparse LU factors of A: scipy's
-    estimator on solves with A and A^H (see steady_state), closed by
-    LAPACK's alternating-sign test vector."""
+    """Lower bound on ||A^-1||_1 from the sparse real LU factors of A:
+    scipy's estimator on solves with A and A^T (see steady_state), closed
+    by LAPACK's alternating-sign test vector, as in dgecon."""
     n = lu.shape[0]
     inverse = scipy.sparse.linalg.LinearOperator(
-        lu.shape, matvec=lu.solve, rmatvec=lambda y: lu.solve(y, trans="H"),
-        dtype=complex)
+        lu.shape, matvec=lu.solve, rmatvec=lambda y: lu.solve(y, trans="T"),
+        dtype=float)
     est = scipy.sparse.linalg.onenormest(inverse, t=1, itmax=4)
     alt = (-1.0) ** np.arange(n) * (1.0 + np.arange(n) / (n - 1))
-    return max(est, 2.0 * (float(np.abs(lu.solve(alt.astype(complex))).sum())
-                           / (3 * n)))
+    return max(est, 2.0 * float(np.abs(lu.solve(alt)).sum()) / (3 * n))
 
 
 def steady_state(liouv: Liouvillian) -> SteadyStateResult:
-    """Solve L vec(rho) = 0 with Tr rho = 1.
+    """Solve L_r x = 0 with Tr rho = 1 on the real generator `matrix`.
 
-    The first row of the system is replaced by the trace constraint and
-    the result is factored by sparse LU; a 1-norm estimate of the
-    reciprocal condition number certifies that the kernel is
-    one-dimensional (a second kernel direction leaves the constrained
-    system singular). The estimate is scipy's onenormest (Higham &
-    Tisseur 2000) on solves with the factors, with one column (t = 1)
-    and LAPACK's limit of five solves with A, plus LAPACK's
-    alternating-sign bound. At t = 1 it draws no random numbers and
-    reduces to Hager's iteration, so it is deterministic and gives
-    LAPACK's number (xLACN2, as in zgecon). The residual is measured
-    against the unmodified generator. Both thresholds are fixed: rcond
-    must reach RCOND_FLOOR (1e-12) and the residual must stay within
-    RESIDUAL_TOL (1e-10).
+    The first row (slot (0, 0)) is replaced by the trace constraint, the
+    sum of the diagonal slots, and the result is factored by one sparse
+    real LU; a 1-norm estimate of the reciprocal condition number
+    certifies that the kernel is one-dimensional (a second kernel
+    direction leaves the constrained system singular). The parity
+    sectors never couple and the trace row reads only diagonal (even)
+    slots, so one factorization and one certificate cover both. The
+    estimate is scipy's onenormest (Higham & Tisseur 2000) on solves
+    with the factors, with one column (t = 1) and LAPACK's limit of five
+    solves with A, plus LAPACK's alternating-sign bound. At t = 1 it
+    draws no random numbers and reduces to Hager's iteration, so it is
+    deterministic and gives LAPACK's number (xLACN2, as in dgecon). The
+    residual is measured against the unmodified generator. Both
+    thresholds are fixed: rcond must reach RCOND_FLOOR (1e-12) and the
+    residual must stay within RESIDUAL_TOL (1e-10). rho is rebuilt from
+    x, so herm_defect is 0.
 
     Raises
     ------
@@ -604,10 +591,9 @@ def steady_state(liouv: Liouvillian) -> SteadyStateResult:
     dim = liouv.dim
     d2 = dim * dim
     trace_row = scipy.sparse.csr_array(
-        (np.ones(dim, dtype=complex), np.arange(0, d2, dim + 1), [0, dim]),
-        shape=(1, d2))
+        (np.ones(dim), np.arange(0, d2, dim + 1), [0, dim]), shape=(1, d2))
     constrained = scipy.sparse.vstack([trace_row, lmat[1:]], format="csc")
-    rhs = np.zeros(d2, dtype=complex)
+    rhs = np.zeros(d2)
     rhs[0] = 1.0
 
     anorm = float(abs(constrained).sum(axis=0).max())
@@ -623,16 +609,14 @@ def steady_state(liouv: Liouvillian) -> SteadyStateResult:
         raise NoSteadyStateError(
             f"constrained solve ill-conditioned (rcond = {rcond:.3e}); "
             "kernel is not one-dimensional within tolerance")
-    v = lu.solve(rhs)
+    x = lu.solve(rhs)
 
-    residual = float(np.abs(lmat @ v).max())
+    residual = float(np.abs(lmat @ x).max())
     if residual > RESIDUAL_TOL:
         raise NoSteadyStateError(
             f"kernel residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
 
-    rho_raw = v.reshape(dim, dim, order="F")
-    herm_defect = float(np.abs(rho_raw - rho_raw.conj().T).max())
-    rho = 0.5 * (rho_raw + rho_raw.conj().T)
+    rho = _from_real(x.reshape(dim, dim, order="F"))
     trace = np.trace(rho).real
     trace_dev = abs(trace - 1.0)
     rho /= trace
@@ -641,7 +625,7 @@ def steady_state(liouv: Liouvillian) -> SteadyStateResult:
     return SteadyStateResult(rho=rho, n=float(n), rz=float(rz),
                              rplus=complex(rplus), tail_mass=tail,
                              residual=residual, rcond=float(rcond),
-                             trace_dev=trace_dev, herm_defect=herm_defect,
+                             trace_dev=trace_dev, herm_defect=0.0,
                              min_eig=min_eig, n_max=liouv.n_max, dim=dim)
 
 

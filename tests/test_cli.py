@@ -398,7 +398,11 @@ class TestExitCodes:
         # a product underflows to a zero divisor
         (UNDERFLOW, "n_s divides by (eta*omega)**2 * gamma_perp * "
          "(r11 - r22), which underflows to 0 at (eta*omega)**2 = 2.5e-319"),
-    ], ids=["inf", "nan", "zero-divisor"])
+        # the square of a non-zero coupling underflows: not a decoupled
+        # phonon
+        ({"eta": "1e-170"},
+         "(eta*omega)**2 underflows to 0 at eta*omega = 5e-170"),
+    ], ids=["inf", "nan", "zero-divisor", "zero-square"])
     @pytest.mark.parametrize("subcommand, extra", [
         ("steady", []), ("trajectory", ["--t-end", "1", "--n0", "1"])])
     def test_result_beyond_double_range_is_1(self, subcommand, extra,
@@ -935,6 +939,26 @@ def non_finite(doc, path=()):
     return [path] if doc in ("inf", "-inf", "nan") else []
 
 
+def fuzz_flags(rng, weights=None):
+    """The seven parameter flags, each value drawn from FUZZ_VALUES (with
+    the given probabilities) and delta's sign drawn too."""
+    values = [float(v) for v in rng.choice(FUZZ_VALUES, size=7, p=weights)]
+    values[1] *= float(rng.choice([-1.0, 1.0]))   # delta
+    return [arg for name, value in zip(PARAM_KEY_NAMES, values)
+            for arg in ("--" + name.replace("_", "-"), repr(value))]
+
+
+def assert_documented_outcome(argv, code, err):
+    """A documented exit code, no traceback, and exactly one error line,
+    the last, on failure."""
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err, argv
+    lines = err.splitlines()
+    errors = [line for line in lines
+              if line.startswith(("error: ", "oracle error: "))]
+    assert errors == (lines[-1:] if code else []), argv
+
+
 class TestFuzz:
     def test_every_input_ends_in_a_documented_outcome(self, capsys, tmp_path):
         # seeded draws for steady, trajectory and custom sweep rows: a
@@ -943,10 +967,7 @@ class TestFuzz:
         # growing trajectory's phonon number
         rng = np.random.default_rng(2113)
         for case in range(600):
-            values = [float(v) for v in rng.choice(FUZZ_VALUES, size=7)]
-            values[1] *= rng.choice([-1.0, 1.0])          # delta
-            flags = [arg for name, value in zip(PARAM_KEY_NAMES, values)
-                     for arg in ("--" + name.replace("_", "-"), repr(value))]
+            flags = fuzz_flags(rng)
             command = ("steady", "trajectory", "sweep")[case % 3]
             if command == "trajectory":
                 flags += ["--t-end", "40", "--samples", "5", "--n0", "3",
@@ -967,12 +988,7 @@ class TestFuzz:
                     flags += ["--gamma-zero-rule", "fixed"]
             argv = [command, *flags]
             code, out, err = run_cli(argv, capsys)
-            assert code in (0, 1, 2, 3), argv
-            assert "Traceback" not in err, argv
-            lines = err.splitlines()
-            errors = [line for line in lines
-                      if line.startswith(("error: ", "oracle error: "))]
-            assert errors == (lines[-1:] if code else []), argv
+            assert_documented_outcome(argv, code, err)
             if code:
                 continue
             if command == "sweep":
@@ -986,6 +1002,27 @@ class TestFuzz:
                         or (growing and path[0] == "rows"
                             and path[2] == doc["columns"].index("n"))
                         ), (argv, path)
+
+    def test_validate_with_a_small_dim_cap(self, capsys):
+        # seeded draws of validate at small Fock cuts and dimension caps
+        # of 6 to 20, so the oracle's failures (singular or ill-conditioned
+        # solve, cap reached) come through the CLI: the same outcomes as
+        # above, and no inf or nan in a clean document but a validity
+        # ratio. Ordinary values are drawn ten times as often, so that
+        # about a quarter of the draws pass the closed form and reach
+        # the oracle.
+        rng = np.random.default_rng(2114)
+        weights = np.where(np.isin(FUZZ_VALUES, (0.02, 1.0, 5.0, 12.0)),
+                           10.0, 1.0)
+        for _ in range(100):
+            argv = ["validate", *fuzz_flags(rng, weights / weights.sum()),
+                    "--n-max", str(rng.integers(2, 5)),
+                    "--dim-cap", str(rng.integers(6, 21)), "--format", "json"]
+            code, out, err = run_cli(argv, capsys)
+            assert_documented_outcome(argv, code, err)
+            if code == 0:
+                for path in non_finite(json.loads(out)):
+                    assert path[-1] == "ratio", (argv, path)
 
 
 # case: (argv, sha256 as json, sha256 as csv) of closed-form documents

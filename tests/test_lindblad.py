@@ -6,6 +6,7 @@ analytic-vs-oracle comparisons at finite eta live in the acceptance suite.
 """
 
 import ast
+import functools
 import math
 import subprocess
 import sys
@@ -31,7 +32,6 @@ from dressedcool.errors import (
     InvalidGridError,
     InvalidParamsError,
     NoSteadyStateError,
-    OracleError,
     TruncationBreachError,
 )
 from dressedcool.lindblad import (
@@ -77,11 +77,12 @@ def basis_parity(n_max):
 
 
 def full_generator_run(liouv, rho0, times, rtol, atol):
-    """(rz, rplus, n, states) from DOP853 on the whole complex
-    liouv.matrix: the reference evolve's real coordinates are checked
-    against."""
+    """(rz, rplus, n, states) from DOP853 on the whole complex generator
+    kron_generator(liouv): the reference evolve's real coordinates are
+    checked against."""
     d = liouv.dim
-    sol = solve_ivp(lambda t, y: liouv.matrix @ y, (0.0, times[-1]),
+    lmat = kron_generator(liouv)
+    sol = solve_ivp(lambda t, y: lmat @ y, (0.0, times[-1]),
                     rho0.reshape(-1, order="F"), method="DOP853",
                     t_eval=times, rtol=rtol, atol=atol)
     assert sol.success
@@ -117,15 +118,34 @@ def real_coordinates(dim, index):
     return csr(to_vec), csr(to_real)
 
 
+@functools.lru_cache(maxsize=None)
+def every_slot(dim):
+    """real_coordinates over every slot of vec(rho)."""
+    return real_coordinates(dim, np.arange(dim * dim))
+
+
+def in_real_coordinates(lmat, dim):
+    """T^-1 lmat T over every slot of vec(rho), T from every_slot, as
+    canonical float64 CSR; its imaginary part must be exactly 0."""
+    to_vec, to_real = every_slot(dim)
+    product = to_real @ (lmat @ to_vec)
+    assert np.all(product.data.imag == 0.0)
+    real = scipy.sparse.csr_array(product.real)
+    real.sum_duplicates()
+    real.eliminate_zeros()
+    return real
+
+
 def sparse_kron(left, right):
     return scipy.sparse.kron(scipy.sparse.csr_array(left),
                              scipy.sparse.csr_array(right), format="csr")
 
 
 def kron_generator(liouv):
-    """The generator as scipy.sparse.kron products of the Liouvillian's own
-    dense factors, all ten terms of each channel summed as sparse matrices:
-    the reference for the mirror assembly, written without it."""
+    """The complex generator as scipy.sparse.kron products of the
+    Liouvillian's own dense factors, all ten terms of each channel summed
+    as sparse matrices: the reference for the real assembly, written
+    without it."""
     kron = sparse_kron
     h, x, x2, alpha = liouv.hamiltonian, liouv.x_op, liouv._x2, liouv.alpha_eta2
     eye = np.eye(liouv.dim)
@@ -144,17 +164,6 @@ def kron_generator(liouv):
     lmat.sum_duplicates()
     lmat.eliminate_zeros()
     return lmat
-
-
-def assert_is_own_mirror(m, dim):
-    """m = S conj(m) S bit for bit, up to the sign of a zero part, S the
-    swap of rho_ij and rho_ji in vec(rho)."""
-    swap = np.arange(dim * dim).reshape(dim, dim).T.ravel()
-    mirror = m[swap][:, swap].conj()
-    mirror.sort_indices()
-    assert np.array_equal(mirror.indices, m.indices)
-    assert np.array_equal(mirror.indptr, m.indptr)
-    assert (mirror.data + 0).tobytes() == (m.data + 0).tobytes()
 
 
 def test_package_import_leaves_out_scipy_integrate():
@@ -233,19 +242,22 @@ class TestBuild:
             assert np.abs(drift).max() < 1e-12
 
     def test_apply_matches_matrix(self):
+        # in real coordinates, T from real_coordinates
         rng = np.random.default_rng(5)
         # eta = 0 leaves rho unsmeared in apply
         for p in (make(delta=-2.0, nu=9.0), make(delta=-2.0, nu=9.0, eta=0.0)):
             liouv = build_liouvillian(p, 5)
             d = liouv.dim
+            _, to_real = every_slot(d)
             m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             rho = m @ m.conj().T
             rho /= np.trace(rho)
-            via_apply = liouv.apply(rho)
-            via_matrix = (liouv.matrix @ rho.reshape(-1, order="F")).reshape(
-                d, d, order="F")
+            via_apply = to_real @ liouv.apply(rho).reshape(-1, order="F")
+            assert np.abs(via_apply.imag).max() < 1e-13 * np.abs(via_apply).max()
+            via_matrix = liouv.matrix @ (
+                to_real @ rho.reshape(-1, order="F")).real
             scale = np.abs(via_matrix).max()
-            assert np.abs(via_apply - via_matrix).max() < 1e-13 * scale
+            assert np.abs(via_apply.real - via_matrix).max() < 1e-13 * scale
 
     def test_rhs_of_hermitian_is_hermitian(self):
         liouv = build_liouvillian(RESONANT_POINT, 5)
@@ -294,31 +306,34 @@ class TestBuild:
         ids=["criterion-6", "eta-0", "dark-channel", "detuned-eta-0.3"])
     def test_real_form_is_the_generator_in_real_coordinates(self, p, n_max,
                                                             sector):
-        # T^-1 L T, with T built here slot by slot, has an imaginary part
-        # of exactly 0 and is the real form evolve integrates; T L_r T^-1
-        # gives back the complex block
+        # the block evolve integrates, and its coordinate helpers: with T
+        # built here slot by slot on the sector, T L_r T^-1 gives back
+        # the complex block of the kron reference, and the helpers are T
+        # and T^-1 on a Hermitian rho
         liouv = build_liouvillian(p, n_max)
-        mask = (liouv.even if sector == "even"
-                else np.ones(liouv.dim ** 2, dtype=bool))
+        d = liouv.dim
+        if sector == "even":
+            mask, l_r = liouv.even, liouv._even_block
+            to_vec, to_real = real_coordinates(d, np.flatnonzero(mask))
+        else:
+            mask, l_r = np.ones(d * d, dtype=bool), liouv.matrix
+            to_vec, to_real = every_slot(d)
         index = np.flatnonzero(mask)
-        block = liouv.matrix[index][:, index]
-        to_vec, to_real = real_coordinates(liouv.dim, index)
-        product = to_real @ (block @ to_vec)
-        assert np.all(product.data.imag == 0.0)
-        l_r, helper_to_vec, helper_to_real = lindblad._real_form(
-            liouv.matrix, liouv.dim, mask)
+        block = kron_generator(liouv)[index][:, index]
         assert l_r.dtype == np.float64
-        assert abs(product.real - l_r).max() == 0.0
-        assert abs(helper_to_vec - to_vec).max() == 0.0
-        assert abs(helper_to_real - to_real).max() == 0.0
+        assert abs(l_r - liouv.matrix[index][:, index]).max() == 0.0
         back = to_vec @ l_r @ to_real
         assert abs(back - block).max() <= 1e-15 * abs(block).max()
-
-    def test_real_form_rejects_a_generator_that_breaks_hermiticity(self):
-        # rho -> i rho maps Hermitian onto anti-Hermitian matrices
-        with pytest.raises(OracleError, match="does not preserve Hermiticity"):
-            lindblad._real_form(scipy.sparse.csr_array(1j * np.eye(4)), 2,
-                                np.ones(4, dtype=bool))
+        rng = np.random.default_rng(n_max)
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = (m + m.conj().T).reshape(-1, order="F")
+        rho[~mask] = 0.0
+        rho = rho.reshape(d, d, order="F")
+        x = lindblad._to_real(rho).reshape(-1, order="F")
+        assert np.all(x[~mask] == 0.0)
+        assert np.array_equal(x[mask],
+                              (to_real @ rho.reshape(-1, order="F")[mask]).real)
+        assert np.array_equal(lindblad._from_real(lindblad._to_real(rho)), rho)
 
     @pytest.mark.parametrize("n_max", [2, 8, 22, 63])
     @pytest.mark.parametrize("p", [
@@ -329,19 +344,19 @@ class TestBuild:
         ids=["recoil", "resonant", "eta-0", "gamma-minus-0", "gamma-zero-0",
              "hamiltonian-only"])
     def test_matrix_is_the_sparse_kron_sum(self, p, n_max):
+        # the real generator is T^-1 (kron sum) T, T built slot by slot
         liouv = build_liouvillian(p, n_max)
         if p.omega < 1e-100:
             assert liouv.channels == ()
-        m, ref = liouv.matrix, kron_generator(liouv)
+        m = liouv.matrix
+        ref = in_real_coordinates(kron_generator(liouv), liouv.dim)
         assert m.shape == ref.shape
-        assert np.array_equal(m.indices, ref.indices)
-        assert np.array_equal(m.indptr, ref.indptr)
+        assert m.dtype == np.float64
         assert m.indices.dtype == m.indptr.dtype == np.int32
         assert m.has_canonical_format
         assert np.count_nonzero(m.data == 0) == 0
-        # the same sums in another order (seen: <= 7.9e-18)
-        assert np.abs(m.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
-        assert_is_own_mirror(m, liouv.dim)
+        # the same sums in another order
+        assert abs(m - ref).max() <= 1e-15 * np.abs(ref.data).max()
 
     @pytest.mark.parametrize("n_max", [8, 22])
     @pytest.mark.parametrize("p", [
@@ -354,8 +369,18 @@ class TestBuild:
         make(delta=100.0, gamma_plus=1e308, eta=1e-160)],
         ids=["huge-nu", "tiny-eta", "infinite-rate"])
     def test_matrix_is_the_sparse_kron_sum_beyond_float_range(self, p, n_max):
-        # the build goes through; the steady solve refuses the generator
+        # a generator entry beyond double range (nu n_max or twice a rate)
+        # is refused at build; a finite generator whose kernel cannot be
+        # certified goes through, and the steady solve refuses it
         with np.errstate(all="ignore"):
+            if math.isinf(p.nu * n_max) or math.isinf(2.0 * p.gamma_plus):
+                with pytest.raises(InvalidParamsError) as err:
+                    build_liouvillian(p, n_max)
+                assert err.value.field == "n_max"
+                assert str(err.value) == (
+                    "n_max: too large to evaluate: the generator has an "
+                    f"entry beyond double range at n_max = {n_max}")
+                return
             liouv = build_liouvillian(p, n_max)
         assert liouv.matrix.shape == (liouv.dim ** 2,) * 2
         with pytest.raises(NoSteadyStateError):
@@ -377,17 +402,17 @@ class TestBuild:
         terms = [(-1j, f[0], f[1]), (3.0, f[2], f[3]), (0.5, f[4], f[5]),
                  (-0.5, f[4], f[5]), (-0.25 + 1j, f[3], f[2]), (2.0, f[1], f[1])]
         got = lindblad._assemble(terms, dim)
-        # each term and its mirror kron(conj(right), conj(left))
-        ref = sum(c * sparse_kron(left, right)
-                  + np.conj(c) * sparse_kron(right.conj(), left.conj())
-                  for c, left, right in terms)
-        ref.sum_duplicates()
-        ref.eliminate_zeros()
+        # each term and its mirror kron(conj(right), conj(left)), in real
+        # coordinates
+        ref = in_real_coordinates(
+            sum(c * sparse_kron(left, right)
+                + np.conj(c) * sparse_kron(right.conj(), left.conj())
+                for c, left, right in terms), dim)
+        assert got.dtype == np.float64
         assert np.array_equal(got.indices, ref.indices)
         assert np.array_equal(got.indptr, ref.indptr)
         assert np.array_equal(got.data, ref.data)
         assert np.count_nonzero(got.data == 0) == 0
-        assert_is_own_mirror(got, dim)
 
     def test_basis_conventions(self):
         liouv = build_liouvillian(FIG2_POINT, 4)
@@ -589,7 +614,7 @@ class TestSteadyState:
     def test_certificates(self, agree_steady):
         assert agree_steady.residual < 1e-10
         assert agree_steady.rcond > 1e-12
-        assert agree_steady.herm_defect < 1e-10
+        assert agree_steady.herm_defect == 0.0
         assert agree_steady.min_eig > -1e-10
         assert abs(np.trace(agree_steady.rho).real - 1.0) < 1e-14
         assert agree_steady.tail_mass < 1e-6
@@ -604,19 +629,24 @@ class TestSteadyState:
         ids=["resonant", "agree", "fig2", "detuned", "no-gamma-minus",
              "no-gamma-zero"])
     def test_matches_dense_lu_and_zgecon(self, p):
-        # independent dense route: LAPACK LU and zgecon on the same
-        # trace-constrained system, at resonance, off it and with one
-        # dissipative channel dark
+        # independent dense routes, at resonance, off it and with one
+        # dissipative channel dark: LAPACK LU of the complex kron reference
+        # constrained by the trace for n, and dgecon on the real
+        # trace-constrained system the oracle factors for rcond
         liouv = build_liouvillian(p, 12)
         res = steady_state(liouv)
         d = liouv.dim
-        constrained = liouv.matrix.toarray()
+        real = liouv.matrix.toarray()
+        real[0, :] = 0.0
+        real[0, :: d + 1] = 1.0
+        lu, _ = scipy.linalg.lu_factor(real)
+        rcond, info = scipy.linalg.lapack.dgecon(
+            lu, np.abs(real).sum(axis=0).max())
+        assert info == 0
+        constrained = kron_generator(liouv).toarray()
         constrained[0, :] = 0.0
         constrained[0, :: d + 1] = 1.0
         lu, piv = scipy.linalg.lu_factor(constrained)
-        rcond, info = scipy.linalg.lapack.zgecon(
-            lu, np.abs(constrained).sum(axis=0).max())
-        assert info == 0
         rhs = np.zeros(d * d, dtype=complex)
         rhs[0] = 1.0
         rho = scipy.linalg.lu_solve((lu, piv), rhs).reshape(d, d, order="F")
