@@ -104,9 +104,9 @@ class Liouvillian:
     `matrix` (float64 CSR, sorted int32 indices, no stored zeros) acts on
     the real coordinates x of column-stacked vec(rho): slot (i, i) holds
     rho_ii, slot (i, j) with i < j Re rho_ij and slot (j, i) Im rho_ij.
-    steady_state factors it and evolve integrates it. `apply` evaluates
-    the complex right-hand side from the dense operator factors directly
-    (an independent cross-check of the vectorization).
+    steady_state factors it and evolve integrates it; `apply` cross-checks
+    the vectorization with the dense defining operators alone (a `channels`
+    entry is one (rate, A) of nonzero rate).
 
     The generator has a Z2 weak symmetry: give basis state |a, n> (dressed
     level a, Fock level n) the parity (a + n) mod 2; no term couples an
@@ -126,21 +126,22 @@ class Liouvillian:
     rplus_op: np.ndarray
     number_op: np.ndarray
     x_op: np.ndarray
-    alpha_eta2: float
-    channels: tuple[tuple[float, np.ndarray, np.ndarray, np.ndarray], ...] = field(repr=False)
-    _x2: np.ndarray = field(repr=False, default=None)
+    channels: tuple[tuple[float, np.ndarray], ...] = field(repr=False)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Right-hand side d(rho)/dt for one density matrix."""
-        h = self.hamiltonian
+        """Right-hand side d(rho)/dt for one density matrix; A', A'A, X X
+        and alpha eta^2 are formed here."""
+        h, x = self.hamiltonian, self.x_op
         out = -1j * (h @ rho - rho @ h)
-        x, x2 = self.x_op, self._x2
-        if self.alpha_eta2 != 0.0:
-            smeared = rho + self.alpha_eta2 * (
+        alpha_eta2 = RECOIL_SECOND_MOMENT * self.params.eta ** 2
+        smeared = rho
+        if alpha_eta2 != 0.0:
+            x2 = x @ x
+            smeared = rho + alpha_eta2 * (
                 x @ rho @ x - 0.5 * (x2 @ rho + rho @ x2))
-        else:
-            smeared = rho
-        for rate, a, a_dag, n_op in self.channels:
+        for rate, a in self.channels:
+            a_dag = a.conj().T
+            n_op = a_dag @ a
             out += (2.0 * rate) * (a @ smeared @ a_dag)
             out -= rate * (n_op @ rho + rho @ n_op)
         return out
@@ -194,10 +195,14 @@ def _from_real(xmat: np.ndarray) -> np.ndarray:
     return rho
 
 
+def _integer(name: str, value, low: int) -> int:
+    if not low <= value < math.inf or int(value) != value:
+        raise InvalidParamsError(name, f"must be an integer >= {low}, got {value}")
+    return int(value)
+
+
 def _checked_dim(n_max: int, cap: int) -> int:
-    if not 2 <= n_max < math.inf or int(n_max) != n_max:
-        raise InvalidParamsError("n_max", f"must be an integer >= 2, got {n_max}")
-    dim = 2 * (int(n_max) + 1)
+    dim = 2 * (_integer("n_max", n_max, 2) + 1)
     if dim > cap:
         raise DimensionOverflowError(
             f"total dimension {dim} = 2*(n_max+1) exceeds cap {cap}; "
@@ -313,11 +318,10 @@ def build_liouvillian(p: PhysicalParams, n_max: int) -> Liouvillian:
     hamiltonian = (p.nu * number_op + f.omega_bar * rz_op
                    + 1j * p.eta * p.omega * ((rplus_op - rminus_op) @ x))
 
-    channel_defs = (
+    channels = tuple((rate, a) for rate, a in (
         (0.25 * p.gamma_zero * f.sin2_2theta, rz_op),
         (p.gamma_plus * f.cos4_theta, rminus_op),
-        (p.gamma_minus * f.sin4_theta, rplus_op),
-    )
+        (p.gamma_minus * f.sin4_theta, rplus_op)) if rate != 0.0)
     try:
         alpha_eta2 = RECOIL_SECOND_MOMENT * p.eta ** 2
     except OverflowError:       # a float power raises where a product is inf
@@ -329,13 +333,8 @@ def build_liouvillian(p: PhysicalParams, n_max: int) -> Liouvillian:
     # own mirror at half weight and one of the two X^2 parts
     eye = np.eye(dim)
     terms = [(-1j, eye, hamiltonian)]
-    channels = []
-    for rate, a in channel_defs:
-        if rate == 0.0:
-            continue
-        a_dag = a.conj().T
-        n_op = a_dag @ a
-        channels.append((rate, a, a_dag, n_op))
+    for rate, a in channels:
+        n_op = a.conj().T @ a
         terms += [(rate, a.conj(), a), (-rate, eye, n_op)]
         if alpha_eta2 != 0.0:
             ax = a @ x
@@ -350,25 +349,24 @@ def build_liouvillian(p: PhysicalParams, n_max: int) -> Liouvillian:
     return Liouvillian(params=p, n_max=n_max, dim=dim, matrix=lmat,
                        hamiltonian=hamiltonian, rz_op=rz_op,
                        rplus_op=rplus_op, number_op=number_op, x_op=x,
-                       alpha_eta2=alpha_eta2, channels=tuple(channels),
-                       _x2=x2)
+                       channels=channels)
 
 
 # --- initial states -----------------------------------------------------------
 
 def thermal_phonon(n_max: int, nbar: float, cut: int | None = None) -> np.ndarray:
     """Thermal phonon state with mean occupation nbar before truncation;
-    nbar = 0 gives the vacuum.
-
-    `cut` zeroes all populations above that level (hard cutoff) before
-    renormalizing; by default the geometric weights run to n_max. An nbar
-    that is negative or not finite raises InvalidParamsError.
+    nbar = 0 gives the vacuum. `cut` zeroes all populations above that
+    level (hard cutoff) before renormalizing; by default the geometric
+    weights run to n_max. An n_max or cut that is not an integer >= 0, or
+    an nbar that is negative or not finite, raises InvalidParamsError.
     """
+    n_max = _integer("n_max", n_max, 0)
     if not math.isfinite(nbar):
         raise InvalidParamsError("nbar", f"must be finite, got {nbar}")
     if nbar < 0:
         raise InvalidParamsError("nbar", f"must be >= 0, got {nbar}")
-    top = n_max if cut is None else min(cut, n_max)
+    top = n_max if cut is None else min(_integer("cut", cut, 0), n_max)
     weights = np.zeros(n_max + 1)
     q = nbar / (1.0 + nbar)
     weights[: top + 1] = q ** np.arange(top + 1)
@@ -416,10 +414,10 @@ def _validate_state(rho: np.ndarray, dim: int) -> np.ndarray:
 class EvolveResult:
     """Sampled master-equation evolution with per-sample health numbers.
 
-    tail_mass tracks the top two Fock levels; trace_err and min_eig record
-    how well the state kept its density-matrix properties. herm_defect is
-    0 by construction, since evolve integrates real coordinates of a
-    Hermitian matrix, so it does not test the integrator.
+    tail_mass tracks the top two Fock levels of the caller's Liouvillian;
+    trace_err and min_eig record how well the state kept its density-matrix
+    properties. herm_defect is 0 by construction (evolve integrates real
+    coordinates of a Hermitian matrix), so it does not test the integrator.
     """
 
     times: np.ndarray
@@ -431,7 +429,6 @@ class EvolveResult:
     trace_err: np.ndarray
     herm_defect: np.ndarray
     min_eig: np.ndarray
-    n_max: int
 
 
 def evolve(liouv: Liouvillian, rho0: np.ndarray, t_end: float, *,
@@ -516,7 +513,7 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray, t_end: float, *,
     return EvolveResult(times=times, states=raw,
                         rz=rz, rplus=rplus, n=n, tail_mass=tail,
                         trace_err=trace_err, herm_defect=herm,
-                        min_eig=min_eig, n_max=liouv.n_max)
+                        min_eig=min_eig)
 
 
 # --- steady state -------------------------------------------------------------
@@ -527,8 +524,8 @@ class SteadyStateResult:
 
     residual is the infinity norm of L_r x for the real coordinates x of
     the state before its trace is normalized; rcond estimates the
-    conditioning of the trace-constrained solve. herm_defect is 0 by
-    construction: rho is rebuilt from real coordinates.
+    conditioning of the trace-constrained solve; n_max is the Fock cut
+    (dimension 2 (n_max + 1)). herm_defect is 0: rho is rebuilt from x.
     """
 
     rho: np.ndarray
@@ -542,7 +539,6 @@ class SteadyStateResult:
     herm_defect: float
     min_eig: float
     n_max: int
-    dim: int
 
 
 def _inverse_norm1_estimate(lu) -> float:
@@ -626,7 +622,7 @@ def steady_state(liouv: Liouvillian) -> SteadyStateResult:
                              rplus=complex(rplus), tail_mass=tail,
                              residual=residual, rcond=float(rcond),
                              trace_dev=trace_dev, herm_defect=0.0,
-                             min_eig=min_eig, n_max=liouv.n_max, dim=dim)
+                             min_eig=min_eig, n_max=liouv.n_max)
 
 
 @dataclass(eq=False)

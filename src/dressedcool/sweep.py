@@ -52,15 +52,14 @@ _ORACLE_MARKER = "oracle "
 
 def _cell(value) -> str:
     """One CSV cell: empty for None, the sentinel for HEATING, lowercase
-    booleans, repr for floats."""
+    booleans, str otherwise (for a float, Python's or numpy's, its repr as
+    a Python float)."""
     if value is None:
         return ""
     if is_heating(value):
         return HEATING_SENTINEL
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 

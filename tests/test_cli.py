@@ -426,6 +426,19 @@ class TestExitCodes:
         assert code == EXIT_INVALID_INPUT
         assert err.startswith("usage: ")
 
+    def test_dash_value_that_is_no_number_stays_apart(self, capsys):
+        # '-' and '--omega' start with '-' but do not parse as floats, so
+        # neither is joined to the flag before it
+        code, out, err = run_cli(["steady"] + BASE_FLAGS, capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert run_cli(["steady"] + BASE_FLAGS + ["--output", "-"],
+                       capsys) == (EXIT_OK, out, "")
+        code, out, err = run_cli(
+            ["steady", "--delta", "--omega", "5"] + BASE_FLAGS[4:], capsys)
+        assert (code, out) == (EXIT_INVALID_INPUT, "")
+        assert err.startswith("usage: ")
+        assert "argument --delta: expected one argument" in err
+
     def test_unknown_flag_is_1(self, capsys):
         code, _, _ = run_cli(["steady", "--bogus", "1"], capsys)
         assert code == EXIT_INVALID_INPUT

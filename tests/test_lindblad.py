@@ -43,7 +43,7 @@ from dressedcool.lindblad import (
     steady_state,
     thermal_phonon,
 )
-from dressedcool.params import PhysicalParams, dressed_frame
+from dressedcool.params import RECOIL_SECOND_MOMENT, PhysicalParams, dressed_frame
 
 
 def make(**overrides):
@@ -143,14 +143,17 @@ def sparse_kron(left, right):
 
 def kron_generator(liouv):
     """The complex generator as scipy.sparse.kron products of the
-    Liouvillian's own dense factors, all ten terms of each channel summed
-    as sparse matrices: the reference for the real assembly, written
-    without it."""
+    Liouvillian's own defining operators, all ten terms of each channel
+    summed as sparse matrices: the reference for the real assembly,
+    written without it. A'A, X X and alpha eta^2 are formed here."""
     kron = sparse_kron
-    h, x, x2, alpha = liouv.hamiltonian, liouv.x_op, liouv._x2, liouv.alpha_eta2
+    h, x = liouv.hamiltonian, liouv.x_op
+    x2 = x @ x
+    alpha = RECOIL_SECOND_MOMENT * liouv.params.eta ** 2
     eye = np.eye(liouv.dim)
     lmat = -1j * (kron(eye, h) - kron(h.T, eye))
-    for rate, a, _, n_op in liouv.channels:
+    for rate, a in liouv.channels:
+        n_op = a.conj().T @ a
         ax, ax2 = a @ x, a @ x2
         sandwich = kron(a.conj(), a)
         if alpha != 0.0:
@@ -457,6 +460,26 @@ class TestStateHelpers:
         with pytest.raises(InvalidParamsError) as err:
             thermal_phonon(10, nbar)
         assert str(err.value) == f"nbar: must be finite, got {nbar}"
+
+    @pytest.mark.parametrize("cut", [-1, 2.5, math.nan])
+    def test_thermal_rejects_a_cut_that_is_not_a_count(self, cut):
+        # cut = -1 divided by a zero weight sum (an all-nan state) and
+        # cut = 2.5 ended in a TypeError from slicing
+        with pytest.raises(InvalidParamsError) as err:
+            thermal_phonon(8, 1.0, cut=cut)
+        assert str(err.value) == f"cut: must be an integer >= 0, got {cut}"
+
+    @pytest.mark.parametrize("n_max", [-1, 2.5, math.inf])
+    def test_thermal_rejects_an_n_max_that_is_not_a_count(self, n_max):
+        with pytest.raises(InvalidParamsError) as err:
+            thermal_phonon(n_max, 1.0)
+        assert str(err.value) == f"n_max: must be an integer >= 0, got {n_max}"
+
+    def test_thermal_cut_at_zero_and_above_n_max(self):
+        assert np.array_equal(thermal_phonon(4, 1.0, cut=0),
+                              thermal_phonon(4, 0.0))
+        assert np.array_equal(thermal_phonon(4, 1.0, cut=9),
+                              thermal_phonon(4, 1.0))
 
     def test_product_shapes(self):
         with pytest.raises(InvalidParamsError):

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from dressedcool import sweep
@@ -259,6 +260,15 @@ class TestSerialization:
         parsed = list(_csv.reader(_io.StringIO(tab.to_csv())))
         assert parsed[1][-1] == tab.rows[0].error
         assert parsed[2][-1] == ""
+
+    def test_numpy_float_cell_is_its_python_float_repr(self):
+        # under numpy 2, repr(np.float64(0.1)) is 'np.float64(0.1)'; str
+        # gives the Python float's repr for numpy and Python floats alike
+        assert sweep._cell(np.float64(0.1)) == "0.1"
+        for value in (0.1, -0.0, 5e-324, 1.7976931348623157e308,
+                      float("inf"), float("nan")):
+            assert sweep._cell(np.float64(value)) == repr(value)
+            assert sweep._cell(value) == repr(value)
 
 
 class TestOracleSweeps:
