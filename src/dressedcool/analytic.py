@@ -52,7 +52,7 @@ class Heating:
     """Marker value: phonon gain exceeds loss, no steady phonon number.
 
     This is a result, not an error; sweeps and the CLI serialize it as the
-    string sentinel "heating".
+    string sentinel "HEATING" (sweep.HEATING_SENTINEL).
     """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -17,6 +17,13 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigError
+from .lindblad import (
+    DEFAULT_DIM_CAP,
+    DIM_BUDGET,
+    N_MAX_FLOOR,
+    N_MAX_START,
+    total_dim,
+)
 from .params import PhysicalParams
 
 
@@ -91,15 +98,19 @@ SCHEMAS: dict[str, tuple[Key, ...]] = {
         Key("gamma_zero_rule", "str", "",
             "gamma_ratio sweeps: track_gamma_minus or fixed"),
         Key("oracle", "bool", False, "solve the full model at every point"),
-        Key("oracle_n_max", "int", 12, "starting Fock cut for oracle solves"),
+        Key("oracle_n_max", "int", N_MAX_START,
+            "starting Fock cut for oracle solves"),
         Key("workers", "int", 1,
             "process count (>= 1) for parallel oracle evaluation"),
         Key("out_dir", "str", ".", "directory for the per-curve files"),
     ) + tuple(replace(k, default=None, help="custom sweeps: " + k.help)
               for k in _PARAM_KEYS) + (_REFERENCE_RATE, _FORMAT_CSV),
     "validate": _PARAM_KEYS + (
-        Key("n_max", "int", 12, "starting Fock cut for the kernel solve"),
-        Key("dim_cap", "int", 64, "largest dimension the escalation builds (6-128)"),
+        Key("n_max", "int", N_MAX_START,
+            "starting Fock cut for the kernel solve"),
+        Key("dim_cap", "int", DIM_BUDGET,
+            "largest dimension the escalation builds "
+            f"({total_dim(N_MAX_FLOOR)}-{DEFAULT_DIM_CAP})"),
         Key("threshold", "float", 0.15,
             "relative disagreement that still counts as a pass"),
         Key("margin", "float", 10.0, "validity margin factor"),

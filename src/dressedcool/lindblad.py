@@ -52,12 +52,17 @@ from .errors import (
 from .params import RECOIL_SECOND_MOMENT, PhysicalParams, dressed_frame
 
 __all__ = [
+    "N_MAX_FLOOR",
+    "N_MAX_START",
+    "DIM_BUDGET",
     "DEFAULT_DIM_CAP",
     "RCOND_FLOOR",
     "RESIDUAL_TOL",
     "CONVERGENCE_REL_TOL",
     "ESCALATION_STEP",
     "TAIL_MASS_LIMIT",
+    "total_dim",
+    "checked_n_max",
     "Liouvillian",
     "EvolveResult",
     "SteadyStateResult",
@@ -70,10 +75,19 @@ __all__ = [
     "product_state",
 ]
 
-# Largest allowed total Hilbert-space dimension D = 2 (n_max + 1), the ceiling
-# on every generator and escalation budget. The superoperator is D^2 x D^2 but
-# sparse, with about 18 D^2 stored entries; at the cap one steady-state solve
-# takes under a second and about 75 MB, mostly sparse LU fill-in.
+# The Fock-cut policy, read by config, sweep and the CLI and spelled only
+# here. A cut n_max keeps Fock levels 0..n_max of the mode, so the total
+# Hilbert-space dimension is D = total_dim(n_max) = 2 (n_max + 1). A cut
+# is an integer of at least N_MAX_FLOOR (2, the smallest generator has
+# D = 6); escalation starts at N_MAX_START (12) and builds no dimension
+# above its budget, DIM_BUDGET (64) unless the caller gives one.
+# DEFAULT_DIM_CAP (128) is the ceiling on every generator and budget. The
+# superoperator is D^2 x D^2 but sparse, with about 18 D^2 stored entries;
+# at the cap one steady-state solve takes under a second and about 75 MB,
+# mostly sparse LU fill-in.
+N_MAX_FLOOR = 2
+N_MAX_START = 12
+DIM_BUDGET = 64
 DEFAULT_DIM_CAP = 128
 
 # Fixed certificate thresholds: every steady state needs a reciprocal
@@ -114,11 +128,13 @@ class Liouvillian:
     one whose parities differ (the odd sector). `even` marks the even
     sector of vec(rho), and so of x. evolve integrates the block of the
     sectors rho0 occupies; the even block is sliced once and kept.
+
+    n_max is the Fock cut; `dim`, the total Hilbert-space dimension, is
+    derived from it by total_dim and not stored.
     """
 
     params: PhysicalParams
     n_max: int
-    dim: int
     matrix: _Generator
     # operator bundle (dense (dim, dim)) used by apply() and observables
     hamiltonian: np.ndarray
@@ -127,6 +143,11 @@ class Liouvillian:
     number_op: np.ndarray
     x_op: np.ndarray
     channels: tuple[tuple[float, np.ndarray], ...] = field(repr=False)
+
+    @property
+    def dim(self) -> int:
+        """Total Hilbert-space dimension, total_dim(n_max)."""
+        return total_dim(self.n_max)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Right-hand side d(rho)/dt for one density matrix; A', A'A, X X
@@ -201,8 +222,20 @@ def _integer(name: str, value, low: int) -> int:
     return int(value)
 
 
+def total_dim(n_max: int) -> int:
+    """The total Hilbert-space dimension at Fock cut n_max: two dressed
+    levels times Fock levels 0..n_max."""
+    return 2 * (n_max + 1)
+
+
+def checked_n_max(n_max, name: str = "n_max") -> int:
+    """n_max as an int; InvalidParamsError on field `name` unless it is an
+    integer >= N_MAX_FLOOR."""
+    return _integer(name, n_max, N_MAX_FLOOR)
+
+
 def _checked_dim(n_max: int, cap: int) -> int:
-    dim = 2 * (_integer("n_max", n_max, 2) + 1)
+    dim = total_dim(checked_n_max(n_max))
     if dim > cap:
         raise DimensionOverflowError(
             f"total dimension {dim} = 2*(n_max+1) exceeds cap {cap}; "
@@ -291,12 +324,12 @@ def build_liouvillian(p: PhysicalParams, n_max: int) -> Liouvillian:
     Raises
     ------
     InvalidParamsError
-        If n_max is not an integer >= 2, eta**2 overflows (eta above
-        about 1.34e154), or the generator has an entry beyond double range
-        at this n_max (nu * n_max or twice a channel rate above about
-        1.8e308).
+        If n_max is not an integer >= N_MAX_FLOOR (2), eta**2 overflows
+        (eta above about 1.34e154), or the generator has an entry beyond
+        double range at this n_max (nu * n_max or twice a channel rate
+        above about 1.8e308).
     DimensionOverflowError
-        If 2 (n_max + 1) exceeds DEFAULT_DIM_CAP, the ceiling on every
+        If total_dim(n_max) exceeds DEFAULT_DIM_CAP, the ceiling on every
         generator (memory and solve time grow steeply with the dimension).
     """
     dim = _checked_dim(n_max, DEFAULT_DIM_CAP)
@@ -346,7 +379,7 @@ def build_liouvillian(p: PhysicalParams, n_max: int) -> Liouvillian:
             "n_max", "too large to evaluate: the generator has an entry "
             f"beyond double range at n_max = {n_max}")
 
-    return Liouvillian(params=p, n_max=n_max, dim=dim, matrix=lmat,
+    return Liouvillian(params=p, n_max=n_max, matrix=lmat,
                        hamiltonian=hamiltonian, rz_op=rz_op,
                        rplus_op=rplus_op, number_op=number_op, x_op=x,
                        channels=channels)
@@ -525,7 +558,7 @@ class SteadyStateResult:
     residual is the infinity norm of L_r x for the real coordinates x of
     the state before its trace is normalized; rcond estimates the
     conditioning of the trace-constrained solve; n_max is the Fock cut
-    (dimension 2 (n_max + 1)). herm_defect is 0: rho is rebuilt from x.
+    (dimension total_dim(n_max)). herm_defect is 0: rho is rebuilt from x.
     """
 
     rho: np.ndarray
@@ -641,30 +674,36 @@ class ConvergenceRun:
         return self.result.n
 
 
-def converged_steady_state(p: PhysicalParams, *, n_max_start: int = 12,
-                           dim_cap: int = 64) -> ConvergenceRun:
+def converged_steady_state(p: PhysicalParams, *,
+                           n_max_start: int = N_MAX_START,
+                           dim_cap: int = DIM_BUDGET) -> ConvergenceRun:
     """steady_state with n_max escalation until the phonon number settles.
 
-    Solves at n_max_start, then n_max_start + ESCALATION_STEP, ... (a
-    fixed step of 4 levels), accepting once the relative change of ⟨b†b⟩
-    between consecutive sizes drops below the fixed CONVERGENCE_REL_TOL
-    (1e-4). Every solve carries steady_state's fixed certificates
-    (RCOND_FLOOR, RESIDUAL_TOL).
-    dim_cap, the escalation budget, is checked with the first cut before
-    any build; it defaults below DEFAULT_DIM_CAP as every size is built.
+    Solves at n_max_start (by default N_MAX_START, 12), then n_max_start +
+    ESCALATION_STEP, ... (a fixed step of 4 levels), accepting once the
+    relative change of ⟨b†b⟩ between consecutive sizes drops below the
+    fixed CONVERGENCE_REL_TOL (1e-4). Every solve carries steady_state's
+    fixed certificates (RCOND_FLOOR, RESIDUAL_TOL).
+    dim_cap, the escalation budget (by default DIM_BUDGET, 64), bounds
+    total_dim of every cut built; it is checked with the first cut before
+    any build.
 
     Raises
     ------
     InvalidParamsError
-        If dim_cap is outside [6, DEFAULT_DIM_CAP] or n_max_start < 2.
+        If dim_cap is outside [total_dim(N_MAX_FLOOR), DEFAULT_DIM_CAP]
+        = [6, 128], or n_max_start is not an integer >= N_MAX_FLOOR (2).
     DimensionOverflowError
-        If the first cut, 2 (n_max_start + 1), exceeds dim_cap.
+        If the first cut's dimension, total_dim(n_max_start), exceeds
+        dim_cap.
     TruncationBreachError
         If the cap is reached without convergence (history attached).
     """
-    if not 6 <= dim_cap <= DEFAULT_DIM_CAP:
+    smallest = total_dim(N_MAX_FLOOR)
+    if not smallest <= dim_cap <= DEFAULT_DIM_CAP:
         bound = (f"<= {DEFAULT_DIM_CAP} (the largest allowed dimension)"
-                 if dim_cap > DEFAULT_DIM_CAP else ">= 6 (the smallest generator)")
+                 if dim_cap > DEFAULT_DIM_CAP
+                 else f">= {smallest} (the smallest generator)")
         raise InvalidParamsError("dim_cap", f"must be {bound}, got {dim_cap}")
     _checked_dim(n_max_start, dim_cap)
     n_max = n_max_start
@@ -672,7 +711,7 @@ def converged_steady_state(p: PhysicalParams, *, n_max_start: int = 12,
     history = [(n_max, prev.n)]
     while True:
         n_next = n_max + ESCALATION_STEP
-        if 2 * (n_next + 1) > dim_cap:
+        if total_dim(n_next) > dim_cap:
             raise TruncationBreachError(
                 f"phonon number not converged at dimension cap {dim_cap}; "
                 f"history: {history}")

@@ -37,7 +37,7 @@ from .errors import (
     UnknownPresetError,
     ZeroCouplingError,
 )
-from .lindblad import converged_steady_state
+from .lindblad import N_MAX_START, checked_n_max, converged_steady_state
 from .params import PhysicalParams
 
 SWEEP_VARIABLES = ("delta", "gamma_ratio", "nu", "eta", "omega")
@@ -142,7 +142,7 @@ class SweepSpec:
     grid: tuple[float, ...]
     gamma_zero_rule: str | None = None
     oracle: bool = False
-    oracle_n_max: int = 12
+    oracle_n_max: int = N_MAX_START
     label: str = ""
     preset: str | None = None
 
@@ -164,9 +164,8 @@ class SweepSpec:
                 f"gamma_zero_rule only applies to gamma_ratio sweeps, "
                 f"not {self.variable!r}")
         object.__setattr__(self, "grid", _checked_grid(self.grid))
-        if self.oracle and self.oracle_n_max < 2:
-            raise InvalidParamsError(
-                "oracle_n_max", f"needs >= 2, got {self.oracle_n_max}")
+        if self.oracle:
+            checked_n_max(self.oracle_n_max, "oracle_n_max")
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -344,7 +343,7 @@ PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_sweeps(name: str, *, oracle: bool = False,
-                  oracle_n_max: int = 12) -> tuple[SweepSpec, ...]:
+                  oracle_n_max: int = N_MAX_START) -> tuple[SweepSpec, ...]:
     """The named figure family as one spec per curve (one per nu)."""
     if name not in _PRESETS:
         raise UnknownPresetError(

@@ -138,6 +138,15 @@ class TestRateSet:
         assert rates.a_minus.real == pytest.approx(0.17241620472875263,
                                                    rel=1e-13)
 
+    def test_eta_squared_by_power_to_the_last_bit(self):
+        # at this eta, eta**2 and eta * eta differ in the last bit, and
+        # so does gamma_0_eff, which steady documents embed: _square must
+        # stay a power, not a product
+        p = PhysicalParams(omega=5.0, delta=0.0, nu=10.0,
+                           eta=5.376587199911069e-07, gamma_plus=1.0,
+                           gamma_minus=0.2, gamma_zero=0.2)
+        assert rate_set(p).gamma_0_eff == 1.541743462306536e-14
+
     def test_eta_zero_kills_coupling(self):
         rates = rate_set(make(eta=0.0))
         assert rates.gamma_0_eff == 0.0

@@ -153,16 +153,30 @@ class TestFockBudgetDefaults:
             return next(key.default for key in schema_for(subcommand)
                         if key.name == name)
 
+        # each default is the lindblad constant itself, not a copy that
+        # happens to agree with the others
         oracle = inspect.signature(converged_steady_state).parameters
         spec = {f.name: f.default for f in dataclasses.fields(SweepSpec)}
         preset = inspect.signature(preset_sweeps).parameters["oracle_n_max"]
-        assert config_default("validate", "n_max") == \
-            oracle["n_max_start"].default
-        assert config_default("validate", "dim_cap") == \
-            oracle["dim_cap"].default
-        assert config_default("sweep", "oracle_n_max") == \
-            spec["oracle_n_max"] == preset.default == \
-            oracle["n_max_start"].default
+        starts = {
+            "validate.n_max": config_default("validate", "n_max"),
+            "sweep.oracle_n_max": config_default("sweep", "oracle_n_max"),
+            "SweepSpec.oracle_n_max": spec["oracle_n_max"],
+            "preset_sweeps(oracle_n_max)": preset.default,
+            "converged_steady_state(n_max_start)":
+                oracle["n_max_start"].default,
+        }
+        budgets = {
+            "validate.dim_cap": config_default("validate", "dim_cap"),
+            "converged_steady_state(dim_cap)": oracle["dim_cap"].default,
+        }
+        assert starts == dict.fromkeys(starts, lindblad.N_MAX_START)
+        assert budgets == dict.fromkeys(budgets, lindblad.DIM_BUDGET)
+        dim_cap_help = next(key.help for key in schema_for("validate")
+                            if key.name == "dim_cap")
+        assert dim_cap_help.endswith(
+            f"({lindblad.total_dim(lindblad.N_MAX_FLOOR)}-"
+            f"{lindblad.DEFAULT_DIM_CAP})")
 
 
 class TestExitCodes:
@@ -332,6 +346,14 @@ class TestExitCodes:
         assert code == EXIT_INVALID_INPUT
         assert out == ""
         assert err == "error: n_max: must be an integer >= 2, got 1\n"
+
+    def test_oracle_n_max_below_2_is_1(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            ["sweep", "--preset", "fig2", "--oracle", "true",
+             "--oracle-n-max", "1", "--out-dir", str(tmp_path)], capsys)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err == "error: oracle_n_max: must be an integer >= 2, got 1\n"
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_1_is_1(self, workers, capsys, tmp_path):

@@ -6,6 +6,7 @@ analytic-vs-oracle comparisons at finite eta live in the acceptance suite.
 """
 
 import ast
+import dataclasses
 import functools
 import math
 import subprocess
@@ -36,6 +37,7 @@ from dressedcool.errors import (
 )
 from dressedcool.lindblad import (
     ConvergenceRun,
+    Liouvillian,
     build_liouvillian,
     converged_steady_state,
     evolve,
@@ -234,6 +236,12 @@ class TestBuild:
         assert agree_liouv.n_max == 12
         assert agree_liouv.matrix.shape == (676, 676)
         assert agree_liouv.params == AGREE_POINT
+
+    def test_dim_is_derived_not_stored(self, agree_liouv):
+        # one dimension rule, total_dim, and no stored copy of it
+        assert "dim" not in {f.name for f in dataclasses.fields(Liouvillian)}
+        assert agree_liouv.dim == lindblad.total_dim(agree_liouv.n_max) == \
+            2 * (agree_liouv.n_max + 1)
 
     def test_trace_preservation_row(self):
         for p in (FIG2_POINT, RESONANT_POINT, make(delta=-3.3, nu=7.1)):

@@ -71,6 +71,15 @@ class TestSpecValidation:
             small_spec(oracle=True, oracle_n_max=1)
         assert err.value.field == "oracle_n_max"
 
+    @pytest.mark.parametrize("n_max", [2.5, float("nan"), float("inf")])
+    def test_oracle_n_max_not_a_cut(self, n_max):
+        # the oracle's own n_max rule, so the spec is refused up front
+        # instead of every row carrying an oracle-side marker
+        with pytest.raises(InvalidParamsError) as err:
+            small_spec(oracle=True, oracle_n_max=n_max)
+        assert str(err.value) == \
+            f"oracle_n_max: must be an integer >= 2, got {n_max}"
+
 
 class TestParamsAt:
     def test_plain_variable(self):
