@@ -312,7 +312,8 @@ class Trajectory:
     positive source); on it n becomes +inf where e^{|C| t} overflows
     double precision, and is finite everywhere else.
     n_steady is the HEATING marker on the heating side and None when
-    eta*omega = 0 (phonon decoupled, n stays at its initial value).
+    eta*omega = 0 (phonon decoupled, n stays at its initial value). Its
+    decay rates are rate_set(p).gamma_s and rate_set(p).gamma_perp.
     """
 
     times: np.ndarray
@@ -322,8 +323,6 @@ class Trajectory:
     rz_steady: float
     n_steady: float | Heating | None
     cooling_rate: float
-    gamma_perp: float
-    gamma_s: float
     phonon_growing: bool
 
 
@@ -382,7 +381,6 @@ def trajectory(p: PhysicalParams,
     return Trajectory(
         times=t, rz=rz, rplus=np.asarray(rplus, dtype=complex), n=n,
         rz_steady=atom.rz, n_steady=n_steady, cooling_rate=c,
-        gamma_perp=rates.gamma_perp, gamma_s=rates.gamma_s,
         phonon_growing=(c < 0.0 or (c == 0.0 and a_plus_rate > 0.0)),
     )
 

@@ -62,7 +62,8 @@ __all__ = [
     "ESCALATION_STEP",
     "TAIL_MASS_LIMIT",
     "total_dim",
-    "checked_n_max",
+    "checked_int",
+    "checked_cut",
     "Liouvillian",
     "EvolveResult",
     "SteadyStateResult",
@@ -79,12 +80,12 @@ __all__ = [
 # here. A cut n_max keeps Fock levels 0..n_max of the mode, so the total
 # Hilbert-space dimension is D = total_dim(n_max) = 2 (n_max + 1). A cut
 # is an integer of at least N_MAX_FLOOR (2, the smallest generator has
-# D = 6); escalation starts at N_MAX_START (12) and builds no dimension
-# above its budget, DIM_BUDGET (64) unless the caller gives one.
-# DEFAULT_DIM_CAP (128) is the ceiling on every generator and budget. The
-# superoperator is D^2 x D^2 but sparse, with about 18 D^2 stored entries;
-# at the cap one steady-state solve takes under a second and about 75 MB,
-# mostly sparse LU fill-in.
+# D = 6), checked by checked_cut alone; escalation starts at N_MAX_START
+# (12) and builds no dimension above its budget, DIM_BUDGET (64) unless
+# the caller gives one. DEFAULT_DIM_CAP (128) is the ceiling on every
+# generator and budget. The superoperator is D^2 x D^2 but sparse, with
+# about 18 D^2 stored entries; at the cap one steady-state solve takes
+# under a second and about 75 MB, mostly sparse LU fill-in.
 N_MAX_FLOOR = 2
 N_MAX_START = 12
 DIM_BUDGET = 64
@@ -216,7 +217,8 @@ def _from_real(xmat: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _integer(name: str, value, low: int) -> int:
+def checked_int(name: str, value, low: int) -> int:
+    """int(value); InvalidParamsError on `name` unless an integer >= low."""
     if not low <= value < math.inf or int(value) != value:
         raise InvalidParamsError(name, f"must be an integer >= {low}, got {value}")
     return int(value)
@@ -228,19 +230,17 @@ def total_dim(n_max: int) -> int:
     return 2 * (n_max + 1)
 
 
-def checked_n_max(n_max, name: str = "n_max") -> int:
-    """n_max as an int; InvalidParamsError on field `name` unless it is an
-    integer >= N_MAX_FLOOR."""
-    return _integer(name, n_max, N_MAX_FLOOR)
-
-
-def _checked_dim(n_max: int, cap: int) -> int:
-    dim = total_dim(checked_n_max(n_max))
+def checked_cut(n_max, cap: int, name: str = "n_max") -> int:
+    """n_max as an int by the one Fock-cut rule: InvalidParamsError on
+    field `name` unless it is an integer >= N_MAX_FLOOR, then
+    DimensionOverflowError if total_dim(n_max) exceeds cap."""
+    n_max = checked_int(name, n_max, N_MAX_FLOOR)
+    dim = total_dim(n_max)
     if dim > cap:
         raise DimensionOverflowError(
             f"total dimension {dim} = 2*(n_max+1) exceeds cap {cap}; "
             f"superoperator would be {dim * dim} x {dim * dim}")
-    return dim
+    return n_max
 
 
 def _assemble(terms, dim: int) -> _Generator:
@@ -332,8 +332,7 @@ def build_liouvillian(p: PhysicalParams, n_max: int) -> Liouvillian:
         If total_dim(n_max) exceeds DEFAULT_DIM_CAP, the ceiling on every
         generator (memory and solve time grow steeply with the dimension).
     """
-    dim = _checked_dim(n_max, DEFAULT_DIM_CAP)
-    n_max = int(n_max)
+    n_max = checked_cut(n_max, DEFAULT_DIM_CAP)
 
     f = dressed_frame(p)
     levels = n_max + 1
@@ -364,7 +363,7 @@ def build_liouvillian(p: PhysicalParams, n_max: int) -> Liouvillian:
     # one term of each mirror pair (see _assemble): -i H rho; per channel
     # -Gamma A'A rho and, of 2 Gamma A rho_bar A', the parts that are their
     # own mirror at half weight and one of the two X^2 parts
-    eye = np.eye(dim)
+    eye = np.eye(len(hamiltonian))
     terms = [(-1j, eye, hamiltonian)]
     for rate, a in channels:
         n_op = a.conj().T @ a
@@ -373,7 +372,7 @@ def build_liouvillian(p: PhysicalParams, n_max: int) -> Liouvillian:
             ax = a @ x
             terms += [(rate * alpha_eta2, ax.conj(), ax),
                       (-rate * alpha_eta2, a.conj(), a @ x2)]
-    lmat = _assemble(terms, dim)
+    lmat = _assemble(terms, len(eye))
     if not np.isfinite(lmat.data).all():
         raise InvalidParamsError(
             "n_max", "too large to evaluate: the generator has an entry "
@@ -394,12 +393,12 @@ def thermal_phonon(n_max: int, nbar: float, cut: int | None = None) -> np.ndarra
     weights run to n_max. An n_max or cut that is not an integer >= 0, or
     an nbar that is negative or not finite, raises InvalidParamsError.
     """
-    n_max = _integer("n_max", n_max, 0)
+    n_max = checked_int("n_max", n_max, 0)
     if not math.isfinite(nbar):
         raise InvalidParamsError("nbar", f"must be finite, got {nbar}")
     if nbar < 0:
         raise InvalidParamsError("nbar", f"must be >= 0, got {nbar}")
-    top = n_max if cut is None else min(_integer("cut", cut, 0), n_max)
+    top = n_max if cut is None else min(checked_int("cut", cut, 0), n_max)
     weights = np.zeros(n_max + 1)
     q = nbar / (1.0 + nbar)
     weights[: top + 1] = q ** np.arange(top + 1)
@@ -558,13 +557,14 @@ class SteadyStateResult:
     residual is the infinity norm of L_r x for the real coordinates x of
     the state before its trace is normalized; rcond estimates the
     conditioning of the trace-constrained solve; n_max is the Fock cut
-    (dimension total_dim(n_max)). herm_defect is 0: rho is rebuilt from x.
+    (dimension total_dim(n_max)). herm_defect and min_eig are measured by
+    _health: herm_defect is 0 while rho is rebuilt from real coordinates,
+    and guards against a future non-Hermitian reconstruction.
     """
 
     rho: np.ndarray
     n: float
     rz: float
-    rplus: complex
     tail_mass: float
     residual: float
     rcond: float
@@ -605,7 +605,7 @@ def steady_state(liouv: Liouvillian) -> SteadyStateResult:
     residual is measured against the unmodified generator. Both
     thresholds are fixed: rcond must reach RCOND_FLOOR (1e-12) and the
     residual must stay within RESIDUAL_TOL (1e-10). rho is rebuilt from
-    x, so herm_defect is 0.
+    x, so the measured herm_defect is 0.
 
     Raises
     ------
@@ -649,13 +649,12 @@ def steady_state(liouv: Liouvillian) -> SteadyStateResult:
     trace = np.trace(rho).real
     trace_dev = abs(trace - 1.0)
     rho /= trace
-    min_eig = float(np.linalg.eigvalsh(rho).min())
-    rz, rplus, n, tail = liouv.expectations(rho)
-    return SteadyStateResult(rho=rho, n=float(n), rz=float(rz),
-                             rplus=complex(rplus), tail_mass=tail,
-                             residual=residual, rcond=float(rcond),
-                             trace_dev=trace_dev, herm_defect=0.0,
-                             min_eig=min_eig, n_max=liouv.n_max)
+    _, herm_defect, min_eig = map(float, _health(rho))
+    rz, _, n, tail = liouv.expectations(rho)
+    return SteadyStateResult(
+        rho=rho, n=float(n), rz=float(rz), tail_mass=tail, residual=residual,
+        rcond=float(rcond), trace_dev=trace_dev, herm_defect=herm_defect,
+        min_eig=min_eig, n_max=liouv.n_max)
 
 
 @dataclass(eq=False)
@@ -685,8 +684,8 @@ def converged_steady_state(p: PhysicalParams, *,
     fixed CONVERGENCE_REL_TOL (1e-4). Every solve carries steady_state's
     fixed certificates (RCOND_FLOOR, RESIDUAL_TOL).
     dim_cap, the escalation budget (by default DIM_BUDGET, 64), bounds
-    total_dim of every cut built; it is checked with the first cut before
-    any build.
+    total_dim of every cut built; checked_cut(n_max_start, dim_cap) checks
+    the first cut before any build.
 
     Raises
     ------
@@ -694,8 +693,7 @@ def converged_steady_state(p: PhysicalParams, *,
         If dim_cap is outside [total_dim(N_MAX_FLOOR), DEFAULT_DIM_CAP]
         = [6, 128], or n_max_start is not an integer >= N_MAX_FLOOR (2).
     DimensionOverflowError
-        If the first cut's dimension, total_dim(n_max_start), exceeds
-        dim_cap.
+        If the first cut's dimension, total_dim(n_max_start), exceeds dim_cap.
     TruncationBreachError
         If the cap is reached without convergence (history attached).
     """
@@ -705,8 +703,7 @@ def converged_steady_state(p: PhysicalParams, *,
                  if dim_cap > DEFAULT_DIM_CAP
                  else f">= {smallest} (the smallest generator)")
         raise InvalidParamsError("dim_cap", f"must be {bound}, got {dim_cap}")
-    _checked_dim(n_max_start, dim_cap)
-    n_max = n_max_start
+    n_max = checked_cut(n_max_start, dim_cap)
     prev = steady_state(build_liouvillian(p, n_max))
     history = [(n_max, prev.n)]
     while True:

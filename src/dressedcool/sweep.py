@@ -37,7 +37,8 @@ from .errors import (
     UnknownPresetError,
     ZeroCouplingError,
 )
-from .lindblad import N_MAX_START, checked_n_max, converged_steady_state
+from .lindblad import (DIM_BUDGET, N_MAX_START, checked_cut, checked_int,
+                       converged_steady_state)
 from .params import PhysicalParams
 
 SWEEP_VARIABLES = ("delta", "gamma_ratio", "nu", "eta", "omega")
@@ -101,11 +102,13 @@ def _encode_json(doc) -> str:
 
 
 def grid_from_range(lo: float, hi: float, count: int) -> tuple[float, ...]:
-    """Inclusive evenly spaced grid, as plain floats."""
+    """Inclusive evenly spaced grid of `count` (an integer >= 1) floats."""
     if count < 1:
         raise InvalidGridError(f"grid count must be >= 1, got {count}")
+    if not count < math.inf or int(count) != count:
+        raise InvalidGridError(f"grid count must be an integer, got {count}")
     try:
-        grid = np.linspace(float(lo), float(hi), count)
+        grid = np.linspace(float(lo), float(hi), int(count))
     except (ValueError, MemoryError) as exc:
         raise InvalidGridError(
             f"cannot make a grid of {count} points: {exc}") from None
@@ -134,7 +137,8 @@ class SweepSpec:
     base value.  The columns are fixed: x, every VALUE_COLUMNS entry,
     valid, then error.  oracle=True adds a kernel-solve phonon column,
     oracle_n_s, before error (skipped on heating rows, where no
-    stationary state exists).
+    stationary state exists); every row solves from oracle_n_max within
+    DIM_BUDGET, so checked_cut refuses a cut no row can run up front.
     """
 
     base: PhysicalParams
@@ -165,7 +169,7 @@ class SweepSpec:
                 f"not {self.variable!r}")
         object.__setattr__(self, "grid", _checked_grid(self.grid))
         if self.oracle:
-            checked_n_max(self.oracle_n_max, "oracle_n_max")
+            checked_cut(self.oracle_n_max, DIM_BUDGET, "oracle_n_max")
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -242,7 +246,8 @@ def _eval_point(spec: SweepSpec, x: float) -> SweepRow:
     ns = fields.get("n_s")
     if spec.oracle and ns is not None and not is_heating(ns):
         try:
-            run = converged_steady_state(p, n_max_start=spec.oracle_n_max)
+            run = converged_steady_state(p, n_max_start=spec.oracle_n_max,
+                                         dim_cap=DIM_BUDGET)
             fields["oracle_n_s"] = run.n
         except (OracleError, InvalidParamsError) as exc:
             errors.append(_ORACLE_MARKER + _marker(exc))
@@ -297,11 +302,10 @@ def run_sweep(spec: SweepSpec, *, workers: int | None = None) -> SweepTable:
     to the serial one.  Closed-form points cost microseconds, less than
     shipping them to a worker, so those sweeps always run serially.
     Per-point failures never raise: they land in the rows.  workers=None
-    means 1; workers below 1 raises InvalidParamsError.
+    means 1; any other value must pass checked_int (an integer >= 1).
     """
-    if workers is not None and workers < 1:
-        raise InvalidParamsError("workers", f"must be >= 1, got {workers}")
-    workers = min(workers or 1, len(spec.grid), os.cpu_count() or 1)
+    workers = 1 if workers is None else checked_int("workers", workers, 1)
+    workers = min(workers, len(spec.grid), os.cpu_count() or 1)
     if spec.oracle and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_eval_point, [spec] * len(spec.grid),

@@ -392,8 +392,6 @@ class TestTrajectory:
         rates = rate_set(FIG2_POINT)
         assert traj.cooling_rate == pytest.approx(rates.cooling_rate,
                                                   rel=1e-15)
-        assert traj.gamma_perp == rates.gamma_perp
-        assert traj.gamma_s == rates.gamma_s
         assert traj.rz_steady == steady_atom(FIG2_POINT).rz
 
 

@@ -364,7 +364,8 @@ class TestExitCodes:
                "--out-dir", str(tmp_path)], capsys)
         assert code == EXIT_INVALID_INPUT
         assert out == ""
-        assert err == f"error: workers: must be >= 1, got {workers}\n"
+        assert err == \
+            f"error: workers: must be an integer >= 1, got {workers}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_rejected_sweep_makes_no_out_dir(self, capsys, tmp_path):
@@ -375,7 +376,7 @@ class TestExitCodes:
                "--grid-count", "3", "--workers", "0",
                "--out-dir", str(out_dir)], capsys)
         assert code == EXIT_INVALID_INPUT
-        assert err == "error: workers: must be >= 1, got 0\n"
+        assert err == "error: workers: must be an integer >= 1, got 0\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("subcommand, extra", [
@@ -715,15 +716,32 @@ class TestSweepCommand:
         assert text.count("DegenerateRatesError: ") == 3
 
     def test_oracle_failure_gives_exit_3(self, capsys, tmp_path):
+        # dimension 62 fits the budget of 64, the next cut (34) does not
         code, _, err = run_cli(
             ["sweep"] + BASE_FLAGS
             + ["--variable", "nu", "--grid-min", "10", "--grid-max", "10",
                "--grid-count", "1", "--oracle", "true",
-               "--oracle-n-max", "40", "--out-dir", str(tmp_path)], capsys)
+               "--oracle-n-max", "30", "--out-dir", str(tmp_path)], capsys)
         assert code == EXIT_ORACLE
         assert "oracle" in err
-        assert "oracle DimensionOverflowError" in (tmp_path / "nu.csv") \
+        assert "oracle TruncationBreachError" in (tmp_path / "nu.csv") \
             .read_text(encoding="utf-8")
+
+    def test_start_cut_over_budget_refused_before_any_row(self, capsys,
+                                                         tmp_path):
+        # the line validate prints for the same cut, once, and no file
+        out_dir = tmp_path / "curves"
+        code, out, err = run_cli(
+            ["sweep", "--preset", "fig2", "--oracle", "true",
+             "--oracle-n-max", "40", "--out-dir", str(out_dir)], capsys)
+        _, _, validate_err = run_cli(
+            ["validate"] + BASE_FLAGS + ["--n-max", "40"], capsys)
+        assert code == EXIT_ORACLE
+        assert out == ""
+        assert err == validate_err == (
+            "oracle error: total dimension 82 = 2*(n_max+1) exceeds cap 64; "
+            "superoperator would be 6724 x 6724\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_preset_writes_one_file_per_curve(self, capsys, tmp_path):
         code, out, _ = run_cli(
@@ -904,6 +922,9 @@ MALFORMED = {
         2),
     "sweep-dark-rows": (["sweep", *_DARK, *_NU_SCAN], 2),
     "sweep-oracle-rows": (
+        ["sweep", *BASE_FLAGS, *_NU_SCAN, "--oracle", "true",
+         "--oracle-n-max", "30"], 3),
+    "sweep-oracle-n-max-over-budget": (
         ["sweep", *BASE_FLAGS, *_NU_SCAN, "--oracle", "true",
          "--oracle-n-max", "40"], 3),
     "config-missing": (["steady", "--config", "{tmp}/missing.cfg"], 1),

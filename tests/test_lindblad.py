@@ -227,6 +227,10 @@ class TestBuild:
         assert str(err.value) == (
             "eta: too large to evaluate: eta**2 overflows at 1e+200")
 
+    def test_whole_float_cut_is_an_int(self):
+        liouv = build_liouvillian(FIG2_POINT, 4.0)
+        assert type(liouv.n_max) is int and liouv.n_max == 4
+
     def test_rejects_dimension_over_cap(self):
         with pytest.raises(DimensionOverflowError):
             build_liouvillian(FIG2_POINT, 64)
@@ -649,6 +653,15 @@ class TestSteadyState:
         assert agree_steady.min_eig > -1e-10
         assert abs(np.trace(agree_steady.rho).real - 1.0) < 1e-14
         assert agree_steady.tail_mass < 1e-6
+
+    def test_herm_defect_is_measured(self, agree_liouv, monkeypatch):
+        # a reconstruction that loses Hermiticity shows in herm_defect
+        from_real = lindblad._from_real
+        monkeypatch.setattr(
+            lindblad, "_from_real",
+            lambda xmat: from_real(xmat) + 1e-9j * np.eye(len(xmat)))
+        res = steady_state(agree_liouv)
+        assert res.herm_defect == pytest.approx(2e-9, rel=1e-6)
 
     def test_resonant_point_matches_example(self):
         res = steady_state(build_liouvillian(RESONANT_POINT, 12))

@@ -8,6 +8,7 @@ import pytest
 from dressedcool import sweep
 from dressedcool.analytic import is_heating
 from dressedcool.errors import (
+    DimensionOverflowError,
     InvalidGridError,
     InvalidParamsError,
     UnknownPresetError,
@@ -66,6 +67,15 @@ class TestSpecValidation:
         with pytest.raises(InvalidGridError):
             grid_from_range(0.0, 1.0, 0)
 
+    @pytest.mark.parametrize("count", [2.5, float("nan"), float("inf")])
+    def test_range_count_not_an_integer(self, count):
+        with pytest.raises(InvalidGridError) as err:
+            grid_from_range(0.0, 1.0, count)
+        assert str(err.value) == f"grid count must be an integer, got {count}"
+
+    def test_range_count_whole_float(self):
+        assert grid_from_range(0.0, 1.0, 3.0) == (0.0, 0.5, 1.0)
+
     def test_oracle_n_max_floor(self):
         with pytest.raises(InvalidParamsError) as err:
             small_spec(oracle=True, oracle_n_max=1)
@@ -79,6 +89,19 @@ class TestSpecValidation:
             small_spec(oracle=True, oracle_n_max=n_max)
         assert str(err.value) == \
             f"oracle_n_max: must be an integer >= 2, got {n_max}"
+
+    def test_oracle_n_max_over_budget(self):
+        # every row solves within DIM_BUDGET (64), so a start cut beyond
+        # it is refused once, with the oracle's own text, not by each row
+        assert small_spec(oracle=True, oracle_n_max=31).oracle_n_max == 31
+        with pytest.raises(DimensionOverflowError) as err:
+            small_spec(oracle=True, oracle_n_max=40)
+        assert str(err.value) == (
+            "total dimension 82 = 2*(n_max+1) exceeds cap 64; "
+            "superoperator would be 6724 x 6724")
+
+    def test_closed_form_spec_ignores_oracle_n_max(self):
+        assert small_spec(oracle_n_max=40).oracle_n_max == 40
 
 
 class TestParamsAt:
@@ -131,6 +154,18 @@ class TestRunSweep:
         parallel = run_sweep(spec, workers=3)
         assert parallel.to_csv() == serial.to_csv()
         assert parallel.to_json() == serial.to_json()
+
+    @pytest.mark.parametrize("workers", [1.5, float("nan"), 0, -3])
+    def test_workers_not_a_count_evaluates_no_row(self, workers,
+                                                    monkeypatch):
+        def no_row(spec, x):
+            raise AssertionError("no row may be evaluated")
+
+        monkeypatch.setattr(sweep, "_eval_point", no_row)
+        with pytest.raises(InvalidParamsError) as err:
+            run_sweep(small_spec(oracle=True), workers=workers)
+        assert str(err.value) == \
+            f"workers: must be an integer >= 1, got {workers}"
 
     def test_rerun_byte_identical(self):
         spec = small_spec()
