@@ -17,10 +17,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DegenerateRatesError, InvalidGridError,
-                     InvalidParamsError, OracleError, ZeroCouplingError)
+from .errors import (DegenerateRatesError, InvalidGridError, OracleError,
+                     ZeroCouplingError)
 from .params import (RECOIL_SECOND_MOMENT, DressedFrame, PhysicalParams,
-                     dressed_frame)
+                     _square, checked_real, dressed_frame)
 
 __all__ = [
     "RECOIL_SECOND_MOMENT",
@@ -113,20 +113,6 @@ def _finite(name: str, value):
     if not cmath.isfinite(value):
         raise OverflowError(f"{name} evaluates to {value!r}")
     return value
-
-
-def _square(name: str, value: float) -> float:
-    """value ** 2; where a float power overflows, an OverflowError names
-    the quantity and its value. Not folded into _finite as value * value:
-    pow and a product differ in the last bit for some doubles (pow squares
-    5.376587199911069e-07 to 2.890768991824755e-13, x * x to
-    2.8907689918247554e-13), which would change finite closed-form bytes."""
-    try:
-        return value ** 2
-    except OverflowError:
-        term = name if name.isidentifier() else f"({name})"
-        raise OverflowError(
-            f"{term}**2 overflows at {name} = {value!r}") from None
 
 
 class _Ingredients(NamedTuple):
@@ -327,7 +313,10 @@ class Trajectory:
 
 
 def _check_times(times) -> np.ndarray:
-    t = np.asarray(times, dtype=float)
+    try:
+        t = np.asarray(times, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidGridError("times must be an array of numbers") from None
     if t.ndim != 1 or t.size == 0:
         raise InvalidGridError("times must be a non-empty 1-d array")
     if not np.all(np.isfinite(t)):
@@ -389,8 +378,9 @@ def reduced_phonon_evolve(p: PhysicalParams, n0: float, times) -> np.ndarray:
     """Integrate d<n>/dt = -C <n> + A_plus numerically on the given grid.
 
     This is an actual ODE solve, not the exponential closed form, so it
-    independently checks the analytic trajectory expression; an
-    integrator failure raises OracleError.
+    independently checks the analytic trajectory expression. An n0 that
+    is not a finite number raises InvalidParamsError; an integrator
+    failure raises OracleError.
     """
     # scipy is imported here, not at module level, so that importing the
     # closed form costs numpy only
@@ -400,7 +390,7 @@ def reduced_phonon_evolve(p: PhysicalParams, n0: float, times) -> np.ndarray:
     rates = rate_set(p)
     c = rates.cooling_rate
     source = rates.a_rate_plus
-    n0 = float(n0)
+    n0 = checked_real("n0", n0)
     if t[-1] == 0.0:
         return np.array([n0])
     sol = solve_ivp(lambda tt, y: -c * y + source, (0.0, float(t[-1])),
@@ -476,11 +466,9 @@ def validity_report(p: PhysicalParams, margin: float = 10.0) -> ValidityReport:
 
     The adiabatic checks compare against |C| so heating-side parameters are
     judged by magnitude; C = 0 passes with an infinite ratio.  A margin
-    that is not finite and > 0 raises InvalidParamsError (a ValueError).
+    that is not a finite number > 0 raises InvalidParamsError (checked_real).
     """
-    if not 0.0 < margin < math.inf:
-        raise InvalidParamsError(
-            "margin", f"must be finite and > 0, got {margin}")
+    margin = checked_real("margin", margin, 0, strict=True)
     f = dressed_frame(p)
     rates = rate_set(p)
     c_mag = abs(rates.cooling_rate)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -45,10 +44,9 @@ from .errors import (
     ConfigError,
     DressedCoolError,
     HeatingRunError,
-    InvalidGridError,
-    InvalidParamsError,
 )
 from .lindblad import converged_steady_state
+from .params import checked_int, checked_real
 from .sweep import (
     SweepSpec,
     _cell,
@@ -144,15 +142,11 @@ def cmd_steady(cfg: RunConfig) -> int:
 
 def cmd_trajectory(cfg: RunConfig) -> int:
     p = cfg.params()
-    if not math.isfinite(cfg["t_end"]) or cfg["t_end"] <= 0:
-        raise InvalidGridError(f"t_end must be > 0, got {cfg['t_end']}")
-    if cfg["samples"] < 2:
-        raise InvalidGridError(f"samples must be >= 2, got {cfg['samples']}")
-    for key in ("n0", "rz0", "re_rplus0", "im_rplus0"):
-        if not math.isfinite(cfg[key]):
-            raise InvalidParamsError(key, f"must be finite, got {cfg[key]}")
-    if cfg["n0"] < 0:
-        raise InvalidParamsError("n0", f"must be >= 0, got {cfg['n0']}")
+    checked_real("t_end", cfg["t_end"], 0, strict=True)
+    checked_int("samples", cfg["samples"], 2)
+    checked_real("n0", cfg["n0"], 0)
+    for key in ("rz0", "re_rplus0", "im_rplus0"):
+        checked_real(key, cfg[key])
     times = grid_from_range(0.0, cfg["t_end"], cfg["samples"])
     init = DressedInit(rz=cfg["rz0"],
                        rplus=complex(cfg["re_rplus0"], cfg["im_rplus0"]),
@@ -245,9 +239,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_validate(cfg: RunConfig) -> int:
     p = cfg.params()
-    if not 0.0 <= cfg["threshold"] < math.inf:
-        raise InvalidParamsError(
-            "threshold", f"must be finite and >= 0, got {cfg['threshold']}")
+    checked_real("threshold", cfg["threshold"], 0)
     report = validity_report(p, margin=cfg["margin"])
     ns = steady_phonon(p)
     if is_heating(ns):

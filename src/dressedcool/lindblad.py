@@ -33,7 +33,6 @@ agreement between the two is a real check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -43,13 +42,13 @@ import scipy.sparse.linalg
 
 from .errors import (
     DimensionOverflowError,
-    InvalidGridError,
     InvalidParamsError,
     NoSteadyStateError,
     OracleError,
     TruncationBreachError,
 )
-from .params import RECOIL_SECOND_MOMENT, PhysicalParams, dressed_frame
+from .params import (RECOIL_SECOND_MOMENT, PhysicalParams, _square,
+                     checked_int, checked_real, dressed_frame)
 
 __all__ = [
     "N_MAX_FLOOR",
@@ -62,7 +61,6 @@ __all__ = [
     "ESCALATION_STEP",
     "TAIL_MASS_LIMIT",
     "total_dim",
-    "checked_int",
     "checked_cut",
     "Liouvillian",
     "EvolveResult",
@@ -217,13 +215,6 @@ def _from_real(xmat: np.ndarray) -> np.ndarray:
     return rho
 
 
-def checked_int(name: str, value, low: int) -> int:
-    """int(value); InvalidParamsError on `name` unless an integer >= low."""
-    if not low <= value < math.inf or int(value) != value:
-        raise InvalidParamsError(name, f"must be an integer >= {low}, got {value}")
-    return int(value)
-
-
 def total_dim(n_max: int) -> int:
     """The total Hilbert-space dimension at Fock cut n_max: two dressed
     levels times Fock levels 0..n_max."""
@@ -324,13 +315,15 @@ def build_liouvillian(p: PhysicalParams, n_max: int) -> Liouvillian:
     Raises
     ------
     InvalidParamsError
-        If n_max is not an integer >= N_MAX_FLOOR (2), eta**2 overflows
-        (eta above about 1.34e154), or the generator has an entry beyond
-        double range at this n_max (nu * n_max or twice a channel rate
-        above about 1.8e308).
+        If n_max is not an integer >= N_MAX_FLOOR (2), or the generator
+        has an entry beyond double range at this n_max (nu * n_max or
+        twice a channel rate above about 1.8e308).
     DimensionOverflowError
         If total_dim(n_max) exceeds DEFAULT_DIM_CAP, the ceiling on every
         generator (memory and solve time grow steeply with the dimension).
+    OverflowError
+        If eta**2 overflows (eta above about 1.34e154), with the closed
+        form's text, e.g. ``eta**2 overflows at eta = 1e+200``.
     """
     n_max = checked_cut(n_max, DEFAULT_DIM_CAP)
 
@@ -354,11 +347,7 @@ def build_liouvillian(p: PhysicalParams, n_max: int) -> Liouvillian:
         (0.25 * p.gamma_zero * f.sin2_2theta, rz_op),
         (p.gamma_plus * f.cos4_theta, rminus_op),
         (p.gamma_minus * f.sin4_theta, rplus_op)) if rate != 0.0)
-    try:
-        alpha_eta2 = RECOIL_SECOND_MOMENT * p.eta ** 2
-    except OverflowError:       # a float power raises where a product is inf
-        raise InvalidParamsError(
-            "eta", f"too large to evaluate: eta**2 overflows at {p.eta!r}") from None
+    alpha_eta2 = RECOIL_SECOND_MOMENT * _square("eta", p.eta)
 
     # one term of each mirror pair (see _assemble): -i H rho; per channel
     # -Gamma A'A rho and, of 2 Gamma A rho_bar A', the parts that are their
@@ -390,14 +379,12 @@ def thermal_phonon(n_max: int, nbar: float, cut: int | None = None) -> np.ndarra
     """Thermal phonon state with mean occupation nbar before truncation;
     nbar = 0 gives the vacuum. `cut` zeroes all populations above that
     level (hard cutoff) before renormalizing; by default the geometric
-    weights run to n_max. An n_max or cut that is not an integer >= 0, or
-    an nbar that is negative or not finite, raises InvalidParamsError.
+    weights run to n_max. An n_max or cut that is not an integer >= 0
+    (checked_int), or an nbar that is not a finite number >= 0
+    (checked_real), raises InvalidParamsError.
     """
     n_max = checked_int("n_max", n_max, 0)
-    if not math.isfinite(nbar):
-        raise InvalidParamsError("nbar", f"must be finite, got {nbar}")
-    if nbar < 0:
-        raise InvalidParamsError("nbar", f"must be >= 0, got {nbar}")
+    nbar = checked_real("nbar", nbar, 0)
     top = n_max if cut is None else min(checked_int("cut", cut, 0), n_max)
     weights = np.zeros(n_max + 1)
     q = nbar / (1.0 + nbar)
@@ -493,9 +480,9 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray, t_end: float, *,
     ------
     InvalidParamsError
         If rho0 is not a dim x dim density matrix with finite entries
-        (Hermitian, unit trace, no eigenvalue below -1e-10).
-    InvalidGridError
-        If t_end is not finite and >= 0 or n_samples not an integer >= 2.
+        (Hermitian, unit trace, no eigenvalue below -1e-10), t_end is not
+        a finite number >= 0 (checked_real) or n_samples is not an
+        integer >= 2 (checked_int).
     TruncationBreachError
         If the top-two-Fock-level population exceeds the fixed
         TAIL_MASS_LIMIT (1e-6) at any sample.
@@ -503,11 +490,8 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray, t_end: float, *,
         If the integrator reports failure.
     """
     rho0 = _validate_state(rho0, liouv.dim)
-    if not math.isfinite(t_end) or t_end < 0:
-        raise InvalidGridError(f"t_end must be finite and >= 0, got {t_end}")
-    if not 2 <= n_samples < math.inf or int(n_samples) != n_samples:
-        raise InvalidGridError(
-            f"n_samples must be an integer >= 2, got {n_samples}")
+    t_end = checked_real("t_end", t_end, 0)
+    n_samples = checked_int("n_samples", n_samples, 2)
 
     # scipy.integrate (with scipy.optimize and more) loads on first use,
     # not with the package
@@ -518,13 +502,13 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray, t_end: float, *,
         times = np.array([0.0])
         raw = rho0[np.newaxis, :, :]
     else:
-        times = np.linspace(0.0, t_end, int(n_samples))
+        times = np.linspace(0.0, t_end, n_samples)
         x0 = _to_real(rho0).reshape(-1, order="F")
         if x0[~liouv.even].any():       # both sectors: every entry
             sector, gen = np.ones(dim * dim, dtype=bool), liouv.matrix
         else:
             sector, gen = liouv.even, liouv._even_block
-        sol = solve_ivp(lambda t, x: gen @ x, (0.0, float(t_end)),
+        sol = solve_ivp(lambda t, x: gen @ x, (0.0, t_end),
                         x0[sector], method="DOP853",
                         t_eval=times, rtol=rtol, atol=atol)
         if not sol.success:
@@ -690,19 +674,19 @@ def converged_steady_state(p: PhysicalParams, *,
     Raises
     ------
     InvalidParamsError
-        If dim_cap is outside [total_dim(N_MAX_FLOOR), DEFAULT_DIM_CAP]
-        = [6, 128], or n_max_start is not an integer >= N_MAX_FLOOR (2).
+        If dim_cap is not an integer >= total_dim(N_MAX_FLOOR) = 6
+        (checked_int) or is above DEFAULT_DIM_CAP = 128, or n_max_start is
+        not an integer >= N_MAX_FLOOR (2).
     DimensionOverflowError
         If the first cut's dimension, total_dim(n_max_start), exceeds dim_cap.
     TruncationBreachError
         If the cap is reached without convergence (history attached).
     """
-    smallest = total_dim(N_MAX_FLOOR)
-    if not smallest <= dim_cap <= DEFAULT_DIM_CAP:
-        bound = (f"<= {DEFAULT_DIM_CAP} (the largest allowed dimension)"
-                 if dim_cap > DEFAULT_DIM_CAP
-                 else f">= {smallest} (the smallest generator)")
-        raise InvalidParamsError("dim_cap", f"must be {bound}, got {dim_cap}")
+    dim_cap = checked_int("dim_cap", dim_cap, total_dim(N_MAX_FLOOR))
+    if dim_cap > DEFAULT_DIM_CAP:
+        raise InvalidParamsError(
+            "dim_cap", f"must be <= {DEFAULT_DIM_CAP} (the largest allowed "
+            f"dimension), got {dim_cap}")
     n_max = checked_cut(n_max_start, dim_cap)
     prev = steady_state(build_liouvillian(p, n_max))
     history = [(n_max, prev.n)]

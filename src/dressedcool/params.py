@@ -8,16 +8,59 @@ which convention the caller declared (see the CLI's ``reference_rate`` key).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 from .errors import InvalidParamsError
 
-__all__ = ["RECOIL_SECOND_MOMENT", "PhysicalParams", "DressedFrame",
-           "dressed_frame"]
+__all__ = ["RECOIL_SECOND_MOMENT", "checked_int", "checked_real",
+           "PhysicalParams", "DressedFrame", "dressed_frame"]
 
 # Second moment of the dipole emission pattern (3/8) * integral of
 # x^2 (1 + x^2) over [-1, 1]; weights the recoil diffusion terms.
 RECOIL_SECOND_MOMENT = 2.0 / 5.0
+
+
+def checked_int(name: str, value, low: int) -> int:
+    """int(value); InvalidParamsError on `name` unless an integer >= low
+    (a whole float such as 3.0 passes; a non-number, nan or inf does not).
+    With checked_real, the package's one rule for a scalar input."""
+    try:
+        if low <= value < math.inf and int(value) == value:
+            return int(value)
+    except TypeError:           # not a real number: a str, None, a complex
+        pass
+    raise InvalidParamsError(name, f"must be an integer >= {low}, got {value}")
+
+
+def checked_real(name: str, value, low: float = -math.inf, *,
+                 strict: bool = False) -> float:
+    """float(value); InvalidParamsError on `name` unless it is a finite
+    number >= low (> low if strict). The bound is printed as given, so a
+    bound of 0 reads 0."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise InvalidParamsError(name, f"not a number: {value!r}") from None
+    if not math.isfinite(value):
+        raise InvalidParamsError(name, f"must be finite, got {value!r}")
+    if value < low or (strict and value == low):
+        raise InvalidParamsError(
+            name, f"must be {'>' if strict else '>='} {low}, got {value}")
+    return value
+
+
+def _square(name: str, value: float) -> float:
+    """value ** 2; where a float power overflows, an OverflowError names
+    the quantity and its value. Not written as value * value: pow and a
+    product differ in the last bit for some doubles (pow squares
+    5.376587199911069e-07 to 2.890768991824755e-13, x * x to
+    2.8907689918247554e-13), which would change finite closed-form bytes."""
+    try:
+        return value ** 2
+    except OverflowError:
+        term = name if name.isidentifier() else f"({name})"
+        raise OverflowError(
+            f"{term}**2 overflows at {name} = {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -51,25 +94,9 @@ class PhysicalParams:
     gamma_zero: float
 
     def __post_init__(self):
-        for name in _FIELD_NAMES:
-            value = getattr(self, name)
-            try:
-                value = float(value)
-            except (TypeError, ValueError):
-                raise InvalidParamsError(name, f"not a number: {value!r}")
-            if not math.isfinite(value):
-                raise InvalidParamsError(name, f"must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
-        if self.omega <= 0:
-            raise InvalidParamsError("omega", f"must be > 0, got {self.omega}")
-        if self.nu <= 0:
-            raise InvalidParamsError("nu", f"must be > 0, got {self.nu}")
-        if self.eta < 0:
-            raise InvalidParamsError("eta", f"must be >= 0, got {self.eta}")
-        for name in ("gamma_plus", "gamma_minus", "gamma_zero"):
-            if getattr(self, name) < 0:
-                raise InvalidParamsError(
-                    name, f"must be >= 0, got {getattr(self, name)}")
+        for name, low, strict in _FIELD_RULES:
+            object.__setattr__(self, name, checked_real(
+                name, getattr(self, name), low, strict=strict))
         if self.gamma_plus + self.gamma_minus + self.gamma_zero == 0.0:
             raise InvalidParamsError(
                 "gamma_plus", "decay rates cannot all be zero")
@@ -87,9 +114,11 @@ class PhysicalParams:
         return asdict(self)
 
 
-# read once, not per construction: every grid point of a sweep builds a
-# PhysicalParams, and dataclasses.fields is slow next to that
-_FIELD_NAMES = tuple(f.name for f in fields(PhysicalParams))
+# (field, lower bound, whether the bound itself is refused) in field
+# order, as the class docstring states them
+_FIELD_RULES = (("omega", 0, True), ("delta", -math.inf, False),
+                ("nu", 0, True), ("eta", 0, False), ("gamma_plus", 0, False),
+                ("gamma_minus", 0, False), ("gamma_zero", 0, False))
 
 
 @dataclass(frozen=True)

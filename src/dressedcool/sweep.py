@@ -37,9 +37,9 @@ from .errors import (
     UnknownPresetError,
     ZeroCouplingError,
 )
-from .lindblad import (DIM_BUDGET, N_MAX_START, checked_cut, checked_int,
+from .lindblad import (DIM_BUDGET, N_MAX_START, checked_cut,
                        converged_steady_state)
-from .params import PhysicalParams
+from .params import PhysicalParams, checked_int
 
 SWEEP_VARIABLES = ("delta", "gamma_ratio", "nu", "eta", "omega")
 GAMMA_ZERO_RULES = ("track_gamma_minus", "fixed")
@@ -102,13 +102,15 @@ def _encode_json(doc) -> str:
 
 
 def grid_from_range(lo: float, hi: float, count: int) -> tuple[float, ...]:
-    """Inclusive evenly spaced grid of `count` (an integer >= 1) floats."""
-    if count < 1:
-        raise InvalidGridError(f"grid count must be >= 1, got {count}")
-    if not count < math.inf or int(count) != count:
-        raise InvalidGridError(f"grid count must be an integer, got {count}")
+    """Inclusive evenly spaced grid of `count` floats from lo to hi.
+
+    A count that is not an integer >= 1 raises InvalidParamsError on
+    grid_count (checked_int); a grid numpy cannot make (a bound that is
+    not a number, a count too large to allocate) raises InvalidGridError.
+    """
+    count = checked_int("grid_count", count, 1)
     try:
-        grid = np.linspace(float(lo), float(hi), int(count))
+        grid = np.linspace(float(lo), float(hi), count)
     except (ValueError, MemoryError) as exc:
         raise InvalidGridError(
             f"cannot make a grid of {count} points: {exc}") from None
@@ -116,7 +118,10 @@ def grid_from_range(lo: float, hi: float, count: int) -> tuple[float, ...]:
 
 
 def _checked_grid(values) -> tuple[float, ...]:
-    grid = tuple(float(v) for v in values)
+    try:
+        grid = tuple(float(v) for v in values)
+    except (TypeError, ValueError):
+        raise InvalidGridError("sweep grid must hold numbers only") from None
     if not grid:
         raise InvalidGridError("sweep grid is empty")
     if not all(np.isfinite(grid)):

@@ -382,6 +382,8 @@ class TestTrajectory:
         [0.0, 2.0, 1.0],
         [0.0, math.nan],
         [[0.0, 1.0], [2.0, 3.0]],
+        ["a"],
+        [0.0, 1j],
     ])
     def test_bad_grids_rejected(self, times):
         with pytest.raises(InvalidGridError):

@@ -221,11 +221,10 @@ class TestBuild:
         assert err.value.field == "n_max"
 
     def test_rejects_eta_whose_square_overflows(self):
-        with pytest.raises(InvalidParamsError) as err:
+        # the closed form's text for the same square
+        with pytest.raises(OverflowError) as err:
             build_liouvillian(make(nu=10.0, eta=1e200), 4)
-        assert err.value.field == "eta"
-        assert str(err.value) == (
-            "eta: too large to evaluate: eta**2 overflows at 1e+200")
+        assert str(err.value) == "eta**2 overflows at eta = 1e+200"
 
     def test_whole_float_cut_is_an_int(self):
         liouv = build_liouvillian(FIG2_POINT, 4.0)
@@ -512,8 +511,9 @@ class TestEvolve:
     def test_negative_t_end_rejected(self):
         liouv = build_liouvillian(FIG2_POINT, 4)
         rho0 = product_state(LOWER, thermal_phonon(4, 0.0))
-        with pytest.raises(InvalidGridError):
+        with pytest.raises(InvalidParamsError) as err:
             evolve(liouv, rho0, -1.0)
+        assert str(err.value) == "t_end: must be >= 0, got -1.0"
 
     @pytest.mark.parametrize("n_samples", [0, -3, 2.5, 1, math.nan,
                                            math.inf])
@@ -521,8 +521,10 @@ class TestEvolve:
         # one sample cannot hold both ends of the interval
         liouv = build_liouvillian(AGREE_POINT, 4)
         rho0 = product_state(LOWER, thermal_phonon(4, 0.0))
-        with pytest.raises(InvalidGridError, match="n_samples"):
+        with pytest.raises(InvalidParamsError) as err:
             evolve(liouv, rho0, 1.0, n_samples=n_samples)
+        assert str(err.value) == (
+            f"n_samples: must be an integer >= 2, got {n_samples}")
 
     def test_two_samples_are_both_ends(self):
         liouv = build_liouvillian(AGREE_POINT, 4)
@@ -758,7 +760,7 @@ class TestConvergedSteadyState:
 
     @pytest.mark.parametrize("dim_cap, bound", [
         (140, "<= 128 (the largest allowed dimension)"),
-        (5, ">= 6 (the smallest generator)"),
+        (5, "an integer >= 6"),
     ])
     def test_budget_outside_range_builds_nothing(self, dim_cap, bound,
                                                  monkeypatch):

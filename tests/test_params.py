@@ -8,10 +8,16 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 
+from dressedcool.analytic import reduced_phonon_evolve, validity_report
 from dressedcool.errors import InvalidParamsError
-from dressedcool.params import PhysicalParams, dressed_frame
+from dressedcool.lindblad import (build_liouvillian, converged_steady_state,
+                                  evolve, product_state, thermal_phonon)
+from dressedcool.params import (PhysicalParams, checked_int,
+                               checked_real, dressed_frame)
+from dressedcool.sweep import SweepSpec, grid_from_range, run_sweep
 
 
 def make(**overrides):
@@ -60,6 +66,12 @@ class TestValidation:
         reason = ("must be finite, got" if isinstance(bad, float)
                   else "not a number:")
         assert str(err.value) == f"{field}: {reason} {bad!r}"
+
+    def test_fields_checked_one_at_a_time_in_order(self):
+        # each field passes its whole rule before the next is read
+        with pytest.raises(InvalidParamsError) as err:
+            make(omega=-1.0, nu=math.inf)
+        assert str(err.value) == "omega: must be > 0, got -1.0"
 
     def test_all_gammas_zero_rejected(self):
         with pytest.raises(InvalidParamsError):
@@ -159,3 +171,83 @@ class TestDressedFrame:
         assert f.cos4_theta == f.cos2_theta ** 2
         assert f.sin4_theta == f.sin2_theta ** 2
         assert f.sin2_2theta == f.sin_2theta ** 2
+
+
+def _evolve(**kwargs):
+    liouv = build_liouvillian(make(), 4)
+    rho0 = product_state(np.diag([1.0, 0.0]), thermal_phonon(4, 0.0))
+    return evolve(liouv, rho0, **{"t_end": 1.0, **kwargs})
+
+
+# every library entry point that takes a scalar input through
+# params.checked_real or params.checked_int: (field, its lower bound or
+# None for a finite-only input, call with the input at the given value)
+REAL_INPUTS = {
+    "PhysicalParams": ("nu", 0, lambda v: make(nu=v)),
+    "validity_report": ("margin", 0, lambda v: validity_report(make(), v)),
+    "thermal_phonon": ("nbar", 0, lambda v: thermal_phonon(4, v)),
+    "evolve": ("t_end", 0, lambda v: _evolve(t_end=v)),
+    "reduced_phonon_evolve": (
+        "n0", None, lambda v: reduced_phonon_evolve(make(), v, [0.0, 1.0])),
+}
+INT_INPUTS = {
+    "evolve": ("n_samples", 2, lambda v: _evolve(n_samples=v)),
+    "converged_steady_state": (
+        "dim_cap", 6, lambda v: converged_steady_state(make(), dim_cap=v)),
+    "grid_from_range": ("grid_count", 1, lambda v: grid_from_range(0, 1, v)),
+    "run_sweep": ("workers", 1, lambda v: run_sweep(
+        SweepSpec(base=make(), variable="delta", grid=(0.0, 1.0)),
+        workers=v)),
+}
+
+
+def _cases(inputs, bad_values):
+    return [pytest.param(name, bad(low), id=f"{name}-{label}")
+            for name, (_, low, _) in inputs.items()
+            for label, bad in bad_values
+            if low is not None or label != "below"]
+
+
+class TestScalarRules:
+    @pytest.mark.parametrize("name, value", _cases(REAL_INPUTS, [
+        ("not-a-number", lambda low: "x"), ("nan", lambda low: math.nan),
+        ("inf", lambda low: math.inf), ("below", lambda low: low - 1.0)]))
+    def test_real_input_refused_with_its_field(self, name, value):
+        field, _, call = REAL_INPUTS[name]
+        with pytest.raises(InvalidParamsError) as err:
+            call(value)
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("name, value", _cases(INT_INPUTS, [
+        ("not-a-number", lambda low: str(low)), ("nan", lambda low: math.nan),
+        ("inf", lambda low: math.inf), ("below", lambda low: low - 1),
+        ("not-an-integer", lambda low: low + 0.5)]))
+    def test_count_refused_with_its_field(self, name, value):
+        field, low, call = INT_INPUTS[name]
+        with pytest.raises(InvalidParamsError) as err:
+            call(value)
+        assert err.value.field == field
+        assert str(err.value) == (
+            f"{field}: must be an integer >= {low}, got {value}")
+
+    @pytest.mark.parametrize("value, text", [
+        ("x", "not a number: 'x'"), (None, "not a number: None"),
+        (math.nan, "must be finite, got nan"),
+        (-math.inf, "must be finite, got -inf"),
+        (0, "must be > 0, got 0.0"), (-1, "must be > 0, got -1.0")])
+    def test_real_rule_texts(self, value, text):
+        with pytest.raises(InvalidParamsError) as err:
+            checked_real("margin", value, 0, strict=True)
+        assert str(err.value) == f"margin: {text}"
+
+    def test_real_rule_bounds(self):
+        assert checked_real("nbar", 0, 0) == 0.0
+        assert type(checked_real("nbar", 3, 0)) is float
+        assert checked_real("rz0", -1e300) == -1e300
+        with pytest.raises(InvalidParamsError, match="must be >= 0, got -0.5"):
+            checked_real("nbar", -0.5, 0)
+
+    @pytest.mark.parametrize("value", [1j, None, [3]])
+    def test_int_rule_refuses_what_is_not_a_real_number(self, value):
+        with pytest.raises(InvalidParamsError):
+            checked_int("workers", value, 1)

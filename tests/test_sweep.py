@@ -63,15 +63,23 @@ class TestSpecValidation:
         with pytest.raises(InvalidGridError):
             small_spec(grid=(0.0, float("nan")))
 
+    @pytest.mark.parametrize("grid", [("a",), (0.0, None), 5.0])
+    def test_grid_not_numbers(self, grid):
+        with pytest.raises(InvalidGridError) as err:
+            small_spec(grid=grid)
+        assert str(err.value) == "sweep grid must hold numbers only"
+
     def test_range_count_positive(self):
-        with pytest.raises(InvalidGridError):
+        with pytest.raises(InvalidParamsError) as err:
             grid_from_range(0.0, 1.0, 0)
+        assert str(err.value) == "grid_count: must be an integer >= 1, got 0"
 
     @pytest.mark.parametrize("count", [2.5, float("nan"), float("inf")])
     def test_range_count_not_an_integer(self, count):
-        with pytest.raises(InvalidGridError) as err:
+        with pytest.raises(InvalidParamsError) as err:
             grid_from_range(0.0, 1.0, count)
-        assert str(err.value) == f"grid count must be an integer, got {count}"
+        assert str(err.value) == (
+            f"grid_count: must be an integer >= 1, got {count}")
 
     def test_range_count_whole_float(self):
         assert grid_from_range(0.0, 1.0, 3.0) == (0.0, 0.5, 1.0)
