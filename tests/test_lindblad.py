@@ -760,7 +760,9 @@ class TestConvergedSteadyState:
 
     @pytest.mark.parametrize("dim_cap, bound", [
         (140, "<= 128 (the largest allowed dimension)"),
-        (5, "an integer >= 6"),
+        # below the smallest generator's dimension, 6; the id names that floor
+        pytest.param(5, "an integer >= 6",
+                     id="5->= 6 (the smallest generator)"),
     ])
     def test_budget_outside_range_builds_nothing(self, dim_cap, bound,
                                                  monkeypatch):
