@@ -22,17 +22,22 @@ basis: Gorini, Kossakowski & Sudarshan, J. Math. Phys. 17, 821 (1976);
 Alicki & Lendi, Lect. Notes Phys. 286 (1987)). That real matrix is the one
 generator here, built from one term of each Hermitian mirror pair of
 Kronecker products of the dense operators (see _assemble). Everything is
-solved numerically on it (sparse real LU kernel solve certified by scipy's
-1-norm estimator, adaptive Runge-Kutta integration, scipy.integrate loaded
-on first use); a failed steady solve reports the certificate that failed
-(a singular factorization, rcond or residual) in the same form at every
-dimension. Every state is rebuilt from real coordinates, so it is
-Hermitian by construction. Nothing from the analytic module enters, so
-agreement between the two is a real check.
+solved numerically on it. The steady state is a sparse real LU kernel
+solve certified by scipy's 1-norm estimator; a failed solve reports the
+certificate that failed (a singular factorization, rcond or residual) in
+the same form at every dimension. Time evolution takes one of two routes,
+chosen by one deterministic rule from the block's size and its 1-norm
+times t_end (see evolve): a dense Taylor propagator built once in three
+buffers, whose cost does not grow with t_end, or adaptive Runge-Kutta
+integration (DOP853), which alone loads scipy.integrate. Every state is
+rebuilt from real coordinates, so it is Hermitian by construction.
+Nothing from the analytic module enters, so agreement between the two is
+a real check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -427,6 +432,11 @@ def _validate_state(rho: np.ndarray, dim: int) -> np.ndarray:
     return rho
 
 
+def _norm1(mat) -> float:
+    """The 1-norm (largest absolute column sum) of a sparse matrix."""
+    return float(abs(mat).sum(axis=0).max())
+
+
 # --- time evolution -----------------------------------------------------------
 
 @dataclass(eq=False)
@@ -450,24 +460,131 @@ class EvolveResult:
     min_eig: np.ndarray
 
 
+# The route rule of evolve. Its DOP853 estimate is 2.5 right-hand-side
+# calls per unit of |L|_1 t_end, measured at criterion 6's two decays
+# (2.5-2.8 there); the propagator is a degree-18 Taylor polynomial whose
+# scaling threshold theta_18 = 1.09 bounds its backward error by the unit
+# roundoff 2^-53 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011),
+# table A.3, as shipped in scipy.sparse.linalg._expm_multiply); its
+# workspace is three dense unknowns x unknowns float64 arrays, at most
+# _PROPAGATOR_WORKSPACE bytes (64 MB: up to 1,632 unknowns).
+_DOP853_CALLS_PER_NORM_TIME = 2.5
+_TAYLOR_DEGREE = 18
+_TAYLOR_THETA = 1.09
+_PROPAGATOR_WORKSPACE = 64e6
+
+
+def _squarings(norm_step: float) -> int:
+    """s = max(0, ceil(log2(norm_step / theta_18))): the squarings after
+    which a step of 1-norm norm_step lies within the degree-18 bound."""
+    if norm_step <= _TAYLOR_THETA:
+        return 0
+    return math.ceil(math.log2(norm_step / _TAYLOR_THETA))
+
+
+def _takes_propagator(unknowns: int, norm_t_end: float, s: int) -> bool:
+    """The one route rule of evolve, from the block's unknowns, its
+    1-norm times t_end and the propagator's squarings s: the propagator
+    when DOP853's estimated right-hand-side calls exceed the propagator's
+    (18 + s) * unknowns matvec-equivalents and its three-buffer workspace
+    fits _PROPAGATOR_WORKSPACE; DOP853 otherwise."""
+    return (_DOP853_CALLS_PER_NORM_TIME * norm_t_end
+            > (_TAYLOR_DEGREE + s) * unknowns
+            and 3 * unknowns * unknowns * 8 <= _PROPAGATOR_WORKSPACE)
+
+
+def _propagator(gen: scipy.sparse.csr_array, dt: float, s: int) -> np.ndarray:
+    """exp(gen dt) by scaling and squaring: the degree-18 Taylor polynomial
+    of A = gen dt 2^-s by Horner, then s squarings, in three dense
+    buffers. OracleError if the result is not finite."""
+    a = gen.toarray()
+    a *= math.ldexp(dt, -s)
+    p, tmp = np.multiply(a, 1.0 / _TAYLOR_DEGREE), np.empty_like(a)
+    diag = np.s_[::a.shape[0] + 1]      # the diagonal of a flat buffer
+    p.reshape(-1)[diag] += 1.0
+    # an overflow shows in the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(_TAYLOR_DEGREE - 1, 0, -1):
+            np.matmul(a, p, out=tmp)
+            tmp /= k
+            tmp.reshape(-1)[diag] += 1.0
+            p, tmp = tmp, p
+        for _ in range(s):
+            np.matmul(p, p, out=tmp)
+            p, tmp = tmp, p
+    if not np.isfinite(p).all():
+        raise OracleError("propagator has entries that are not finite")
+    return p
+
+
+def _propagator_samples(gen: scipy.sparse.csr_array, x0: np.ndarray,
+                        dt: float, n_samples: int, s: int) -> np.ndarray:
+    """(n_samples, unknowns) states x_k = P^k x0, P = exp(gen dt)."""
+    p = _propagator(gen, dt, s)
+    y = np.empty((n_samples, x0.size))
+    y[0] = x0
+    for k in range(1, n_samples):
+        np.matmul(p, y[k - 1], out=y[k])
+    return y
+
+
+def _dop853_samples(gen: scipy.sparse.csr_array, x0: np.ndarray,
+                    times: np.ndarray, rtol: float,
+                    atol: float) -> np.ndarray:
+    """(len(times), unknowns) states from DOP853 on dx/dt = gen x.
+    OracleError if the integrator reports failure."""
+    # scipy.integrate (with scipy.optimize and more) loads on this route
+    # only, not with the package
+    from scipy.integrate import solve_ivp
+    sol = solve_ivp(lambda t, x: gen @ x, (0.0, times[-1]), x0,
+                    method="DOP853", t_eval=times, rtol=rtol, atol=atol)
+    if not sol.success:
+        raise OracleError(f"integration failed: {sol.message}")
+    return sol.y.T
+
+
+def _rebuild(dim: int, sector: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The full density matrices (n, dim, dim) whose real coordinates are
+    y on the slots `sector` of column-stacked vec(rho) and 0 elsewhere."""
+    x = np.zeros((len(y), dim * dim))
+    x[:, sector] = y
+    # column-stacked vectors: reshape gives X.T per sample
+    return _from_real(x.reshape(-1, dim, dim).swapaxes(1, 2))
+
+
 def evolve(liouv: Liouvillian, rho0: np.ndarray, t_end: float, *,
            n_samples: int = 201, rtol: float = 1e-9,
            atol: float = 1e-11) -> EvolveResult:
     """Integrate d(rho)/dt = L rho from a validated initial state.
 
-    Adaptive high-order Runge-Kutta stepping controlled by rtol/atol only.
-    The sparse generator drives the right-hand side; observables are read
-    off at n_samples (an integer >= 2) equally spaced times including both
-    ends. t_end = 0 returns the initial state as the one sample.
+    Observables are read off at n_samples (an integer >= 2) equally
+    spaced times including both ends. t_end = 0 returns the initial state
+    as the one sample.
 
     The generator never mixes the parity sectors (see Liouvillian), so
-    DOP853 runs on the block of `matrix` for the sectors rho0 occupies:
+    evolve works on the block of `matrix` for the sectors rho0 occupies:
     the even one if every odd entry of rho0 is exactly 0, as for any
     state diagonal in |a, n> (half the unknowns; the odd entries of every
     sample stay exactly 0), otherwise all. Its unknowns are the real
     coordinates of rho0, in real arithmetic throughout. `states` holds
     the full complex density matrices, rebuilt from real coordinates and
     so Hermitian by construction (herm_defect 0).
+
+    The block is stepped by one of two routes, chosen by one
+    deterministic rule (_takes_propagator) from the input alone: its u
+    unknowns, its 1-norm times t_end, and s, the squarings the propagator
+    needs for one sample spacing dt = t_end / (n_samples - 1).
+
+    - Propagator: P = exp(block dt) is built once, by a degree-18 Taylor
+      polynomial of block dt 2^-s and s squarings (Al-Mohy & Higham,
+      SIAM J. Sci. Comput. 33, 488 (2011)), in three dense u x u
+      buffers; each sample is one product x <- P x, so the cost does not
+      grow with t_end. It is taken when DOP853's estimated right-hand-side
+      calls, 2.5 per unit of 1-norm times t_end, exceed (18 + s) u and
+      the workspace, 3 u^2 doubles, is at most 64 MB (u <= 1,632).
+    - DOP853 otherwise: adaptive high-order Runge-Kutta stepping with the
+      sparse block as right-hand side, controlled by rtol/atol, which
+      act on this route only. scipy.integrate loads on this route only.
 
     One caveat on the min_eig diagnostic: the second-order recoil
     correction makes the generator only approximately completely
@@ -487,15 +604,12 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray, t_end: float, *,
         If the top-two-Fock-level population exceeds the fixed
         TAIL_MASS_LIMIT (1e-6) at any sample.
     OracleError
-        If the integrator reports failure.
+        If DOP853 reports failure, or the propagator has an entry that is
+        not finite.
     """
     rho0 = _validate_state(rho0, liouv.dim)
     t_end = checked_real("t_end", t_end, 0)
     n_samples = checked_int("n_samples", n_samples, 2)
-
-    # scipy.integrate (with scipy.optimize and more) loads on first use,
-    # not with the package
-    from scipy.integrate import solve_ivp
 
     dim = liouv.dim
     if t_end == 0.0:
@@ -508,15 +622,14 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray, t_end: float, *,
             sector, gen = np.ones(dim * dim, dtype=bool), liouv.matrix
         else:
             sector, gen = liouv.even, liouv._even_block
-        sol = solve_ivp(lambda t, x: gen @ x, (0.0, t_end),
-                        x0[sector], method="DOP853",
-                        t_eval=times, rtol=rtol, atol=atol)
-        if not sol.success:
-            raise OracleError(f"integration failed: {sol.message}")
-        x = np.zeros((len(times), dim * dim))
-        x[:, sector] = sol.y.T
-        # column-stacked vectors: reshape gives X.T per sample
-        raw = _from_real(x.reshape(-1, dim, dim).swapaxes(1, 2))
+        norm = _norm1(gen)
+        dt = t_end / (n_samples - 1)
+        s = _squarings(norm * dt)
+        if _takes_propagator(gen.shape[0], norm * t_end, s):
+            y = _propagator_samples(gen, x0[sector], dt, n_samples, s)
+        else:
+            y = _dop853_samples(gen, x0[sector], times, rtol, atol)
+        raw = _rebuild(dim, sector, y)
 
     rz, rplus, n, tail = map(np.array, zip(*map(liouv.expectations, raw)))
     trace_err, herm, min_eig = map(np.array, zip(*map(_health, raw)))
@@ -609,7 +722,7 @@ def steady_state(liouv: Liouvillian) -> SteadyStateResult:
     rhs = np.zeros(d2)
     rhs[0] = 1.0
 
-    anorm = float(abs(constrained).sum(axis=0).max())
+    anorm = _norm1(constrained)
     try:
         lu = scipy.sparse.linalg.splu(constrained)
     except RuntimeError:

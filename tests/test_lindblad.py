@@ -33,6 +33,7 @@ from dressedcool.errors import (
     InvalidGridError,
     InvalidParamsError,
     NoSteadyStateError,
+    OracleError,
     TruncationBreachError,
 )
 from dressedcool.lindblad import (
@@ -68,6 +69,8 @@ RESONANT_POINT = make(delta=2.0 * math.sqrt(11.0), nu=12.0,
 # points (e.g. FIG2_POINT, mismatch 8) disagree strongly and on purpose:
 # the closed form keeps only the co-rotating sideband.
 AGREE_POINT = make(nu=10.0, eta=0.02)
+# criterion 6's decay point at eta = 0.1
+DECAY_POINT = make(delta=10.0, nu=12.0, gamma_minus=1.0, gamma_zero=1.0)
 
 LOWER = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 MIXED = np.array([[0.6, 0.3 - 0.1j], [0.3 + 0.1j, 0.4]], dtype=complex)
@@ -179,6 +182,29 @@ def test_package_import_leaves_out_scipy_integrate():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_propagator_route_leaves_out_scipy_integrate():
+    # a long decay of a small block takes the propagator, which needs no
+    # integrator: the interpreter that ran it never loaded scipy.integrate
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from dressedcool import lindblad\n"
+        "from dressedcool.params import PhysicalParams\n"
+        f"p = PhysicalParams(**{dataclasses.asdict(DECAY_POINT)!r})\n"
+        "liouv = lindblad.build_liouvillian(p, 8)\n"
+        "rho0 = lindblad.product_state(np.diag([0.7, 0.3]),\n"
+        "                              lindblad.thermal_phonon(8, 0.3, cut=2))\n"
+        "taken, run = [], lindblad._propagator_samples\n"
+        "lindblad._propagator_samples = (\n"
+        "    lambda *args: taken.append(1) or run(*args))\n"
+        "lindblad.evolve(liouv, rho0, 60.0)\n"
+        "print(taken, sorted(m for m in sys.modules\n"
+        "                    if m.startswith('scipy.integrate')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "[1] []\n"
 
 
 def test_oracle_takes_nothing_from_the_closed_form():
@@ -639,6 +665,146 @@ class TestEvolve:
         rho0 = product_state(LOWER, thermal_phonon(2, 2.0))
         with pytest.raises(TruncationBreachError):
             evolve(liouv, rho0, 0.5)
+
+
+class Routed(Exception):
+    """Raised by a stand-in route to report which one evolve chose."""
+
+
+def route_taken(liouv, rho0, t_end, **kwargs):
+    """The name of the route helper evolve calls for these inputs, found
+    with both helpers replaced by stand-ins that stop it."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_propagator_samples", "_dop853_samples"):
+            def stop(*args, name=name):
+                raise Routed(name)
+            patch.setattr(lindblad, name, stop)
+        with pytest.raises(Routed) as err:
+            evolve(liouv, rho0, t_end, **kwargs)
+    return str(err.value)
+
+
+def decay_case(eta, n_max=18):
+    """Criterion 6's decay: DECAY_POINT at eta, the closed-form atom and a
+    thermal phonon (nbar 2, cut at 12); (liouv, rho0, C)."""
+    p = dataclasses.replace(DECAY_POINT, eta=eta)
+    atom = steady_atom(p)
+    rho0 = product_state(np.diag([atom.r11, atom.r22]),
+                         thermal_phonon(n_max, 2.0, cut=12))
+    return build_liouvillian(p, n_max), rho0, rate_set(p).cooling_rate
+
+
+class TestEvolveRoutes:
+    @pytest.mark.parametrize("atom", ["diagonal", "odd"])
+    @pytest.mark.parametrize("t_end, n_samples, propagator", [
+        (1.0, 21, False), (30.0, 61, True), (60.0, 201, True)])
+    def test_routes_agree_on_one_block(self, atom, t_end, n_samples,
+                                       propagator):
+        # both route helpers on the block evolve would step, on both sides
+        # of the rule's threshold, compared in the full density matrix
+        liouv = build_liouvillian(RESONANT_POINT, 4)
+        rho0 = product_state(np.diag([0.7, 0.3]) if atom == "diagonal"
+                             else MIXED, thermal_phonon(4, 0.3, cut=2))
+        x0 = lindblad._to_real(rho0).reshape(-1, order="F")
+        if atom == "diagonal":
+            sector, gen = liouv.even, liouv._even_block
+            assert not x0[~sector].any()
+        else:
+            sector, gen = np.ones(liouv.dim ** 2, dtype=bool), liouv.matrix
+        times = np.linspace(0.0, t_end, n_samples)
+        dt = t_end / (n_samples - 1)
+        norm = lindblad._norm1(gen)
+        s = lindblad._squarings(norm * dt)
+        assert lindblad._takes_propagator(gen.shape[0], norm * t_end,
+                                          s) is propagator
+        assert route_taken(liouv, rho0, t_end, n_samples=n_samples) == (
+            "_propagator_samples" if propagator else "_dop853_samples")
+        by_taylor = lindblad._rebuild(liouv.dim, sector,
+                                      lindblad._propagator_samples(
+                                          gen, x0[sector], dt, n_samples, s))
+        by_dop853 = lindblad._rebuild(liouv.dim, sector,
+                                      lindblad._dop853_samples(
+                                          gen, x0[sector], times, 1e-10,
+                                          1e-14))
+        assert np.abs(by_taylor - by_dop853).max() <= 1e-9
+        assert np.array_equal(by_taylor[0], rho0)
+
+    def test_propagator_route_matches_full_generator(self):
+        # the independent reference: DOP853 on the whole complex generator
+        liouv = build_liouvillian(DECAY_POINT, 8)
+        rho0 = product_state(MIXED, thermal_phonon(8, 0.3, cut=2))
+        assert route_taken(liouv, rho0, 30.0, n_samples=61) == (
+            "_propagator_samples")
+        res = evolve(liouv, rho0, 30.0, n_samples=61)
+        rz, rplus, n, states = full_generator_run(liouv, rho0, res.times,
+                                                  1e-10, 1e-14)
+        assert np.abs(res.states - states).max() <= 1e-9
+        assert np.abs(res.n - n).max() <= 1e-9
+        assert np.abs(res.rplus - rplus).max() <= 1e-9
+        assert res.trace_err.max() <= 1e-8
+        assert np.all(res.herm_defect == 0.0)
+
+    @pytest.mark.parametrize("dt, s", [(1e-3, 0), (0.02, 0), (0.5, 5),
+                                       (3.0, 8)])
+    def test_propagator_is_the_exponential(self, dt, s):
+        gen = build_liouvillian(RESONANT_POINT, 4)._even_block
+        assert lindblad._squarings(lindblad._norm1(gen) * dt) == s
+        expected = scipy.linalg.expm(gen.toarray() * dt)
+        assert np.abs(lindblad._propagator(gen, dt, s)
+                      - expected).max() <= 1e-13
+
+    def test_propagator_is_the_degree_18_taylor_polynomial(self):
+        # on the nilpotent shift N (1-norm 1, so no squaring) row 0 of the
+        # polynomial holds its coefficients 1/j!, up to j = 18 and no further
+        gen = scipy.sparse.csr_array(np.eye(24, k=1))
+        assert lindblad._squarings(lindblad._norm1(gen)) == 0
+        row = lindblad._propagator(gen, 1.0, 0)[0]
+        coeff = [1.0 / math.factorial(j) for j in range(19)]
+        assert np.allclose(row[:19], coeff, rtol=1e-14, atol=0.0)
+        assert np.all(row[19:] == 0.0)
+
+    def test_squarings_follow_the_degree_18_bound(self):
+        theta = lindblad._TAYLOR_THETA
+        assert lindblad._squarings(0.0) == 0
+        assert lindblad._squarings(theta) == 0
+        assert lindblad._squarings(1.01 * theta) == 1
+        assert lindblad._squarings(2.0 * theta) == 1
+        assert lindblad._squarings(2.01 * theta) == 2
+
+    def test_propagator_that_is_not_finite_raises(self):
+        # a generator growing as e^(1000 t): the squarings overflow
+        gen = scipy.sparse.csr_array(np.array([[1e3]]))
+        with pytest.raises(OracleError) as err:
+            lindblad._propagator(gen, 1.0, lindblad._squarings(1e3))
+        assert str(err.value) == "propagator has entries that are not finite"
+
+    def test_workspace_ceiling(self):
+        # three float64 buffers of 1,632^2 fit in 64 MB, of 1,633^2 not
+        assert lindblad._takes_propagator(1632, 1e12, 0)
+        assert not lindblad._takes_propagator(1633, 1e12, 0)
+
+    @pytest.mark.parametrize("eta", [0.05, 0.1])
+    def test_criterion_6_decays_take_the_propagator(self, eta):
+        liouv, rho0, c = decay_case(eta)
+        assert route_taken(liouv, rho0, 7.0 / c, n_samples=201, rtol=1e-10,
+                           atol=1e-14) == "_propagator_samples"
+
+    def test_probe_decay_takes_dop853(self):
+        liouv, rho0, c = decay_case(0.1)
+        assert route_taken(liouv, rho0, 0.25 / c, n_samples=11, rtol=1e-10,
+                           atol=1e-14) == "_dop853_samples"
+
+    def test_block_over_the_workspace_ceiling_takes_dop853(self):
+        # the even block at n_max 31 has 2,048 unknowns; criterion 6's long
+        # decay would favour the propagator by calls alone
+        liouv, rho0, c = decay_case(0.1, n_max=31)
+        gen = liouv._even_block
+        assert gen.shape[0] == 2048
+        norm_t_end = lindblad._norm1(gen) * 7.0 / c
+        s = lindblad._squarings(norm_t_end / 200)
+        assert 2.5 * norm_t_end > (18 + s) * 2048
+        assert route_taken(liouv, rho0, 7.0 / c, n_samples=201, rtol=1e-10,
+                           atol=1e-14) == "_dop853_samples"
 
 
 class TestSteadyState:
