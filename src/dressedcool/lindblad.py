@@ -27,12 +27,12 @@ solve certified by scipy's 1-norm estimator; a failed solve reports the
 certificate that failed (a singular factorization, rcond or residual) in
 the same form at every dimension. Time evolution takes one of two routes,
 chosen by one deterministic rule from the block's size and its 1-norm
-times t_end (see evolve): a dense Taylor propagator built once in three
-buffers, whose cost does not grow with t_end, or adaptive Runge-Kutta
-integration (DOP853), which alone loads scipy.integrate. Every state is
-rebuilt from real coordinates, so it is Hermitian by construction.
-Nothing from the analytic module enters, so agreement between the two is
-a real check.
+times t_end (see evolve): a Taylor propagator built once, by sparse
+products and dense squarings in two dense buffers, whose cost does not
+grow with t_end, or adaptive Runge-Kutta integration (DOP853), which
+alone loads scipy.integrate. Every state is rebuilt from real
+coordinates, so it is Hermitian by construction. Nothing from the
+analytic module enters, so agreement between the two is a real check.
 """
 
 from __future__ import annotations
@@ -465,13 +465,20 @@ class EvolveResult:
 # (2.5-2.8 there); the propagator is a degree-18 Taylor polynomial whose
 # scaling threshold theta_18 = 1.09 bounds its backward error by the unit
 # roundoff 2^-53 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011),
-# table A.3, as shipped in scipy.sparse.linalg._expm_multiply); its
-# workspace is three dense unknowns x unknowns float64 arrays, at most
-# _PROPAGATOR_WORKSPACE bytes (64 MB: up to 1,632 unknowns).
+# table A.3, as shipped in scipy.sparse.linalg._expm_multiply). Its
+# Horner steps are sparse products and its s squarings dense, so its
+# workspace is two dense unknowns x unknowns float64 arrays plus a scaled
+# sparse copy of the block. The ceiling is 3 such arrays within
+# _PROPAGATOR_WORKSPACE (64 MB: up to 1,632 unknowns), above what the
+# route needs; larger blocks have not been measured on it.
 _DOP853_CALLS_PER_NORM_TIME = 2.5
 _TAYLOR_DEGREE = 18
 _TAYLOR_THETA = 1.09
 _PROPAGATOR_WORKSPACE = 64e6
+# the largest product of one row panel in the propagator's Horner steps,
+# under glibc's default 128 KiB mmap threshold, so each product reuses
+# freed heap memory
+_PANEL_BYTES = 65536
 
 
 def _squarings(norm_step: float) -> int:
@@ -486,8 +493,8 @@ def _takes_propagator(unknowns: int, norm_t_end: float, s: int) -> bool:
     """The one route rule of evolve, from the block's unknowns, its
     1-norm times t_end and the propagator's squarings s: the propagator
     when DOP853's estimated right-hand-side calls exceed the propagator's
-    (18 + s) * unknowns matvec-equivalents and its three-buffer workspace
-    fits _PROPAGATOR_WORKSPACE; DOP853 otherwise."""
+    (18 + s) * unknowns matvec-equivalents and 3 unknowns^2 doubles fit
+    _PROPAGATOR_WORKSPACE (the ceiling, u <= 1,632); DOP853 otherwise."""
     return (_DOP853_CALLS_PER_NORM_TIME * norm_t_end
             > (_TAYLOR_DEGREE + s) * unknowns
             and 3 * unknowns * unknowns * 8 <= _PROPAGATOR_WORKSPACE)
@@ -495,18 +502,23 @@ def _takes_propagator(unknowns: int, norm_t_end: float, s: int) -> bool:
 
 def _propagator(gen: scipy.sparse.csr_array, dt: float, s: int) -> np.ndarray:
     """exp(gen dt) by scaling and squaring: the degree-18 Taylor polynomial
-    of A = gen dt 2^-s by Horner, then s squarings, in three dense
-    buffers. OracleError if the result is not finite."""
-    a = gen.toarray()
-    a *= math.ldexp(dt, -s)
-    p, tmp = np.multiply(a, 1.0 / _TAYLOR_DEGREE), np.empty_like(a)
-    diag = np.s_[::a.shape[0] + 1]      # the diagonal of a flat buffer
-    p.reshape(-1)[diag] += 1.0
+    of A = gen dt 2^-s by Horner, each step a sparse product A p, then s
+    dense squarings, in two dense buffers beside a scaled sparse copy of
+    gen, which is left as it is. OracleError if the result is not finite."""
+    u, scale = gen.shape[0], math.ldexp(dt, -s)
+    # A in row panels whose products fit _PANEL_BYTES, each copied into
+    # the second buffer: a fresh u x u product per step would map and
+    # fault new pages every time
+    rows = _PANEL_BYTES // (8 * u)
+    panels = [(np.s_[i:i + rows], gen[i:i + rows] * scale)
+              for i in range(0, u, rows)]
+    p, tmp = np.identity(u), np.empty((u, u))
+    diag = np.s_[::u + 1]               # the diagonal of a flat buffer
     # an overflow shows in the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(_TAYLOR_DEGREE - 1, 0, -1):
-            np.matmul(a, p, out=tmp)
-            tmp /= k
+        for k in range(_TAYLOR_DEGREE, 0, -1):
+            for part, panel in panels:
+                np.divide(panel @ p, k, out=tmp[part])
             tmp.reshape(-1)[diag] += 1.0
             p, tmp = tmp, p
         for _ in range(s):
@@ -577,11 +589,13 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray, t_end: float, *,
 
     - Propagator: P = exp(block dt) is built once, by a degree-18 Taylor
       polynomial of block dt 2^-s and s squarings (Al-Mohy & Higham,
-      SIAM J. Sci. Comput. 33, 488 (2011)), in three dense u x u
-      buffers; each sample is one product x <- P x, so the cost does not
-      grow with t_end. It is taken when DOP853's estimated right-hand-side
-      calls, 2.5 per unit of 1-norm times t_end, exceed (18 + s) u and
-      the workspace, 3 u^2 doubles, is at most 64 MB (u <= 1,632).
+      SIAM J. Sci. Comput. 33, 488 (2011)). Its Horner steps are sparse
+      products with a scaled copy of the block and its squarings dense,
+      in two dense u x u buffers; each sample is one product x <- P x,
+      so the cost does not grow with t_end. It is taken when DOP853's
+      estimated right-hand-side calls, 2.5 per unit of 1-norm times
+      t_end, exceed (18 + s) u and u is at most 1,632 (3 u^2 doubles
+      within 64 MB), a ceiling above the route's workspace.
     - DOP853 otherwise: adaptive high-order Runge-Kutta stepping with the
       sparse block as right-hand side, controlled by rtol/atol, which
       act on this route only. scipy.integrate loads on this route only.

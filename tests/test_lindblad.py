@@ -11,6 +11,7 @@ import functools
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -694,6 +695,15 @@ def decay_case(eta, n_max=18):
     return build_liouvillian(p, n_max), rho0, rate_set(p).cooling_rate
 
 
+def decay_block(eta):
+    """The block criterion 6's long decay at eta steps (201 samples to
+    7 / C): (even block, sample spacing dt, squarings s)."""
+    liouv, rho0, c = decay_case(eta)
+    gen = liouv._even_block
+    dt = 7.0 / c / 200
+    return gen, dt, lindblad._squarings(lindblad._norm1(gen) * dt)
+
+
 class TestEvolveRoutes:
     @pytest.mark.parametrize("atom", ["diagonal", "odd"])
     @pytest.mark.parametrize("t_end, n_samples, propagator", [
@@ -753,6 +763,47 @@ class TestEvolveRoutes:
         assert np.abs(lindblad._propagator(gen, dt, s)
                       - expected).max() <= 1e-13
 
+    def test_propagator_is_the_exponential_at_criterion_6_size(self):
+        gen, dt, s = decay_block(0.05)
+        assert (gen.shape[0], s) == (722, 9)
+        expected = scipy.linalg.expm(gen.toarray() * dt)
+        assert np.abs(lindblad._propagator(gen, dt, s)
+                      - expected).max() <= 1e-10
+
+    def test_propagator_workspace(self):
+        # two dense u x u buffers, a scaled sparse copy of the block and
+        # the finiteness check's boolean mask: no third dense buffer
+        gen, dt, s = decay_block(0.1)
+        u = gen.shape[0]
+        assert (u, s) == (722, 7)
+        tracemalloc.start()
+        try:
+            lindblad._propagator(gen, dt, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * u * u * 8
+
+    @pytest.mark.parametrize("atom", ["diagonal", "odd"])
+    def test_propagator_route_leaves_the_cached_generator(self, atom):
+        # the diagonal state steps the cached even block, the odd one the
+        # whole matrix; both stay as they were, so a repeat is identical
+        liouv = build_liouvillian(DECAY_POINT, 8)
+        rho0 = product_state(np.diag([0.7, 0.3]) if atom == "diagonal"
+                             else MIXED, thermal_phonon(8, 0.3, cut=2))
+        assert route_taken(liouv, rho0, 30.0, n_samples=61) == (
+            "_propagator_samples")
+        cached = [liouv.matrix, liouv._even_block]
+        before = [(m.data.copy(), m.indices.copy(), m.indptr.copy())
+                  for m in cached]
+        first = evolve(liouv, rho0, 30.0, n_samples=61)
+        for m, (data, indices, indptr) in zip(cached, before):
+            assert np.array_equal(m.data, data)
+            assert np.array_equal(m.indices, indices)
+            assert np.array_equal(m.indptr, indptr)
+        second = evolve(liouv, rho0, 30.0, n_samples=61)
+        assert np.array_equal(second.states, first.states)
+
     def test_propagator_is_the_degree_18_taylor_polynomial(self):
         # on the nilpotent shift N (1-norm 1, so no squaring) row 0 of the
         # polynomial holds its coefficients 1/j!, up to j = 18 and no further
@@ -779,7 +830,8 @@ class TestEvolveRoutes:
         assert str(err.value) == "propagator has entries that are not finite"
 
     def test_workspace_ceiling(self):
-        # three float64 buffers of 1,632^2 fit in 64 MB, of 1,633^2 not
+        # the ceiling: 3 u^2 doubles within 64 MB, u <= 1,632 unknowns,
+        # above the propagator's two dense u x u buffers and sparse copy
         assert lindblad._takes_propagator(1632, 1e12, 0)
         assert not lindblad._takes_propagator(1633, 1e12, 0)
 
