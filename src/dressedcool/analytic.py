@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import (DegenerateRatesError, InvalidGridError, OracleError,
                      ZeroCouplingError)
-from .params import (RECOIL_SECOND_MOMENT, DressedFrame, PhysicalParams,
-                     _square, checked_real, dressed_frame)
+from .params import (RECOIL_SECOND_MOMENT, PhysicalParams, _square,
+                     checked_real, dressed_frame)
 
 __all__ = [
     "RECOIL_SECOND_MOMENT",
@@ -30,7 +30,6 @@ __all__ = [
     "SteadyAtom",
     "RateSet",
     "DressedInit",
-    "BareInit",
     "Trajectory",
     "ValidityCheck",
     "ValidityReport",
@@ -271,24 +270,6 @@ class DressedInit:
 
 
 @dataclass(frozen=True)
-class BareInit:
-    """Initial conditions in the bare basis; <S_-> is the conjugate of
-    splus, as in any physical state."""
-
-    sz: float
-    splus: complex = 0.0 + 0.0j
-    n: float = 0.0
-
-    def to_dressed(self, frame: DressedFrame) -> DressedInit:
-        sm = self.splus.conjugate()
-        rz = frame.cos_2theta * self.sz + frame.sin_2theta * (self.splus + sm)
-        rplus = (frame.cos2_theta * self.splus
-                 - frame.sin2_theta * sm
-                 - frame.sin_2theta * self.sz)
-        return DressedInit(rz=float(rz.real), rplus=complex(rplus), n=self.n)
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Closed-form relaxation curves.
 
@@ -329,7 +310,7 @@ def _check_times(times) -> np.ndarray:
 
 
 def trajectory(p: PhysicalParams,
-               init: DressedInit | BareInit,
+               init: DressedInit,
                times) -> Trajectory:
     """Relaxation of inversion, coherence envelope and phonon number.
 
@@ -339,9 +320,6 @@ def trajectory(p: PhysicalParams,
     overflows.
     """
     t = _check_times(times)
-    f = dressed_frame(p)
-    if isinstance(init, BareInit):
-        init = init.to_dressed(f)
     g = _ingredients(p)
     atom = g.atom
     rates = g._rate_set()

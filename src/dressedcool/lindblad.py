@@ -123,8 +123,8 @@ class Liouvillian:
     the real coordinates x of column-stacked vec(rho): slot (i, i) holds
     rho_ii, slot (i, j) with i < j Re rho_ij and slot (j, i) Im rho_ij.
     steady_state factors it and evolve integrates it; `apply` cross-checks
-    the vectorization with the dense defining operators alone (a `channels`
-    entry is one (rate, A) of nonzero rate).
+    the vectorization with the dense defining operators alone (`channels`
+    holds all three (rate, A), on R_z, R- and R+, a zero rate included).
 
     The generator has a Z2 weak symmetry: give basis state |a, n> (dressed
     level a, Fock level n) the parity (a + n) mod 2; no term couples an
@@ -154,16 +154,15 @@ class Liouvillian:
         return total_dim(self.n_max)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Right-hand side d(rho)/dt for one density matrix; A', A'A, X X
-        and alpha eta^2 are formed here."""
+        """Right-hand side d(rho)/dt for one density matrix, summed over
+        all three channels (a zero rate adds zero); A', A'A, X X and
+        alpha eta^2 are formed here."""
         h, x = self.hamiltonian, self.x_op
         out = -1j * (h @ rho - rho @ h)
         alpha_eta2 = RECOIL_SECOND_MOMENT * self.params.eta ** 2
-        smeared = rho
-        if alpha_eta2 != 0.0:
-            x2 = x @ x
-            smeared = rho + alpha_eta2 * (
-                x @ rho @ x - 0.5 * (x2 @ rho + rho @ x2))
+        x2 = x @ x
+        smeared = rho + alpha_eta2 * (
+            x @ rho @ x - 0.5 * (x2 @ rho + rho @ x2))
         for rate, a in self.channels:
             a_dag = a.conj().T
             n_op = a_dag @ a
@@ -348,24 +347,23 @@ def build_liouvillian(p: PhysicalParams, n_max: int) -> Liouvillian:
     hamiltonian = (p.nu * number_op + f.omega_bar * rz_op
                    + 1j * p.eta * p.omega * ((rplus_op - rminus_op) @ x))
 
-    channels = tuple((rate, a) for rate, a in (
-        (0.25 * p.gamma_zero * f.sin2_2theta, rz_op),
-        (p.gamma_plus * f.cos4_theta, rminus_op),
-        (p.gamma_minus * f.sin4_theta, rplus_op)) if rate != 0.0)
+    channels = ((0.25 * p.gamma_zero * f.sin2_2theta, rz_op),
+                (p.gamma_plus * f.cos4_theta, rminus_op),
+                (p.gamma_minus * f.sin4_theta, rplus_op))
     alpha_eta2 = RECOIL_SECOND_MOMENT * _square("eta", p.eta)
 
     # one term of each mirror pair (see _assemble): -i H rho; per channel
     # -Gamma A'A rho and, of 2 Gamma A rho_bar A', the parts that are their
-    # own mirror at half weight and one of the two X^2 parts
+    # own mirror at half weight and one of the two X^2 parts. A zero rate
+    # or eta = 0 gives zero coefficients, whose triplets _assemble drops
     eye = np.eye(len(hamiltonian))
     terms = [(-1j, eye, hamiltonian)]
     for rate, a in channels:
         n_op = a.conj().T @ a
-        terms += [(rate, a.conj(), a), (-rate, eye, n_op)]
-        if alpha_eta2 != 0.0:
-            ax = a @ x
-            terms += [(rate * alpha_eta2, ax.conj(), ax),
-                      (-rate * alpha_eta2, a.conj(), a @ x2)]
+        ax = a @ x
+        terms += [(rate, a.conj(), a), (-rate, eye, n_op),
+                  (rate * alpha_eta2, ax.conj(), ax),
+                  (-rate * alpha_eta2, a.conj(), a @ x2)]
     lmat = _assemble(terms, len(eye))
     if not np.isfinite(lmat.data).all():
         raise InvalidParamsError(
@@ -524,7 +522,9 @@ def _propagator(gen: scipy.sparse.csr_array, dt: float, s: int) -> np.ndarray:
         for _ in range(s):
             np.matmul(p, p, out=tmp)
             p, tmp = tmp, p
-    if not np.isfinite(p).all():
+    # nan propagates through min and max and +-inf shows in one of them,
+    # so no u x u mask is allocated
+    if not (np.isfinite(p.min()) and np.isfinite(p.max())):
         raise OracleError("propagator has entries that are not finite")
     return p
 
@@ -612,8 +612,9 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray, t_end: float, *,
     InvalidParamsError
         If rho0 is not a dim x dim density matrix with finite entries
         (Hermitian, unit trace, no eigenvalue below -1e-10), t_end is not
-        a finite number >= 0 (checked_real) or n_samples is not an
-        integer >= 2 (checked_int).
+        a finite number >= 0 (checked_real), n_samples is not an
+        integer >= 2 (checked_int), rtol is not a finite number > 0 or
+        atol not a finite number >= 0 (checked_real, on both routes).
     TruncationBreachError
         If the top-two-Fock-level population exceeds the fixed
         TAIL_MASS_LIMIT (1e-6) at any sample.
@@ -624,6 +625,8 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray, t_end: float, *,
     rho0 = _validate_state(rho0, liouv.dim)
     t_end = checked_real("t_end", t_end, 0)
     n_samples = checked_int("n_samples", n_samples, 2)
+    rtol = checked_real("rtol", rtol, 0, strict=True)
+    atol = checked_real("atol", atol, 0)
 
     dim = liouv.dim
     if t_end == 0.0:

@@ -37,7 +37,7 @@ from .errors import (
     UnknownPresetError,
     ZeroCouplingError,
 )
-from .lindblad import (DIM_BUDGET, N_MAX_START, checked_cut,
+from .lindblad import (DIM_BUDGET, N_MAX_FLOOR, N_MAX_START, checked_cut,
                        converged_steady_state)
 from .params import PhysicalParams, checked_int
 
@@ -142,8 +142,10 @@ class SweepSpec:
     base value.  The columns are fixed: x, every VALUE_COLUMNS entry,
     valid, then error.  oracle=True adds a kernel-solve phonon column,
     oracle_n_s, before error (skipped on heating rows, where no
-    stationary state exists); every row solves from oracle_n_max within
-    DIM_BUDGET, so checked_cut refuses a cut no row can run up front.
+    stationary state exists). oracle_n_max is echoed by every spec, so
+    every spec checks it is an integer >= N_MAX_FLOOR; an oracle spec's
+    rows solve from it within DIM_BUDGET, so checked_cut refuses a cut no
+    row can run up front.
     """
 
     base: PhysicalParams
@@ -173,6 +175,7 @@ class SweepSpec:
                 f"gamma_zero_rule only applies to gamma_ratio sweeps, "
                 f"not {self.variable!r}")
         object.__setattr__(self, "grid", _checked_grid(self.grid))
+        checked_int("oracle_n_max", self.oracle_n_max, N_MAX_FLOOR)
         if self.oracle:
             checked_cut(self.oracle_n_max, DIM_BUDGET, "oracle_n_max")
 

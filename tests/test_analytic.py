@@ -18,7 +18,6 @@ import pytest
 from dressedcool.analytic import (
     HEATING,
     RECOIL_SECOND_MOMENT,
-    BareInit,
     DressedInit,
     cooling_rate,
     is_heating,
@@ -358,22 +357,6 @@ class TestTrajectory:
         assert traj.n[1] == 3.0
         assert traj.n_steady is None
         assert not traj.phonon_growing
-
-    def test_bare_ground_state_conversion(self):
-        p = make(delta=-5.0)
-        init = BareInit(sz=-1.0)
-        traj = trajectory(p, init, [0.0])
-        assert traj.rz[0] == pytest.approx(0.4472135954999579, rel=1e-13)
-        assert traj.rplus[0] == pytest.approx(0.8944271909999159 + 0.0j,
-                                              rel=1e-13)
-
-    def test_bare_coherent_conversion(self):
-        p = make(delta=-5.0)
-        init = BareInit(sz=0.2, splus=0.1 + 0.3j)
-        traj = trajectory(p, init, [0.0])
-        assert traj.rz[0] == pytest.approx(0.08944271909999159, rel=1e-12)
-        assert traj.rplus[0] == pytest.approx(
-            -0.22360679774997896 + 0.3j, rel=1e-12)
 
     @pytest.mark.parametrize("times", [
         [],

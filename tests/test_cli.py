@@ -355,6 +355,17 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: oracle_n_max: must be an integer >= 2, got 1\n"
 
+    def test_closed_form_oracle_n_max_below_2_is_1(self, capsys, tmp_path):
+        # the cut is echoed by every sweep document, so it is checked
+        # without --oracle too, before any file or --out-dir is made
+        code, out, err = run_cli(
+            ["sweep", "--preset", "fig2", "--oracle-n-max", "-5",
+             "--out-dir", str(tmp_path / "d")], capsys)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err == "error: oracle_n_max: must be an integer >= 2, got -5\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_1_is_1(self, workers, capsys, tmp_path):
         code, out, err = run_cli(
@@ -951,6 +962,9 @@ MALFORMED = {
     "sweep-oracle-n-max": (
         ["sweep", "--preset", "fig2", "--oracle", "true",
          "--oracle-n-max", "1", "--out-dir", "{tmp}"], 1),
+    "sweep-closed-form-oracle-n-max": (
+        ["sweep", "--preset", "fig2", "--oracle-n-max", "-5",
+         "--out-dir", "{tmp}/d"], 1),
     "validate-n-max": (["validate", *BASE_FLAGS, "--n-max", "1"], 1),
     "validate-dark": (["validate", *_DARK], 2),
     "validate-dim-cap": (

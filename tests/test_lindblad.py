@@ -388,7 +388,7 @@ class TestBuild:
         # the real generator is T^-1 (kron sum) T, T built slot by slot
         liouv = build_liouvillian(p, n_max)
         if p.omega < 1e-100:
-            assert liouv.channels == ()
+            assert [rate for rate, _ in liouv.channels] == [0.0, 0.0, 0.0]
         m = liouv.matrix
         ref = in_real_coordinates(kron_generator(liouv), liouv.dim)
         assert m.shape == ref.shape
@@ -552,6 +552,33 @@ class TestEvolve:
             evolve(liouv, rho0, 1.0, n_samples=n_samples)
         assert str(err.value) == (
             f"n_samples: must be an integer >= 2, got {n_samples}")
+
+    @pytest.mark.parametrize("t_end", [0.5, 1e4],
+                             ids=["dop853", "propagator"])
+    @pytest.mark.parametrize("field, value, text", [
+        ("rtol", math.nan, "must be finite, got nan"),
+        ("rtol", 0.0, "must be > 0, got 0.0"),
+        ("rtol", "x", "not a number: 'x'"),
+        ("atol", math.nan, "must be finite, got nan"),
+        ("atol", math.inf, "must be finite, got inf"),
+        ("atol", -1.0, "must be >= 0, got -1.0")],
+        ids=["rtol-nan", "rtol-0", "rtol-str", "atol-nan", "atol-inf",
+             "atol-neg"])
+    def test_bad_tolerance_rejected_before_any_work(self, field, value, text,
+                                                    t_end, monkeypatch):
+        # a nan tolerance would stall DOP853; both routes are refused
+        # before either runs
+        def no_route(*args):
+            raise AssertionError("a route ran")
+        monkeypatch.setattr(lindblad, "_propagator_samples", no_route)
+        monkeypatch.setattr(lindblad, "_dop853_samples", no_route)
+        liouv = build_liouvillian(AGREE_POINT, 4)
+        rho0 = product_state(np.diag([0.5, 0.5]).astype(complex),
+                             thermal_phonon(4, 0.1))
+        with pytest.raises(InvalidParamsError) as err:
+            evolve(liouv, rho0, t_end, n_samples=3, **{field: value})
+        assert err.value.field == field
+        assert str(err.value) == f"{field}: {text}"
 
     def test_two_samples_are_both_ends(self):
         liouv = build_liouvillian(AGREE_POINT, 4)
@@ -771,8 +798,8 @@ class TestEvolveRoutes:
                       - expected).max() <= 1e-10
 
     def test_propagator_workspace(self):
-        # two dense u x u buffers, a scaled sparse copy of the block and
-        # the finiteness check's boolean mask: no third dense buffer
+        # two dense u x u buffers and a scaled sparse copy of the block:
+        # no third dense buffer, and no mask for the finiteness check
         gen, dt, s = decay_block(0.1)
         u = gen.shape[0]
         assert (u, s) == (722, 7)

@@ -111,6 +111,15 @@ class TestSpecValidation:
     def test_closed_form_spec_ignores_oracle_n_max(self):
         assert small_spec(oracle_n_max=40).oracle_n_max == 40
 
+    @pytest.mark.parametrize("n_max", [-5, 1, 2.5, float("nan")])
+    def test_closed_form_spec_checks_oracle_n_max(self, n_max):
+        # every spec echoes oracle_n_max, so it is a cut even where no
+        # row solves from it
+        with pytest.raises(InvalidParamsError) as err:
+            small_spec(oracle_n_max=n_max)
+        assert str(err.value) == \
+            f"oracle_n_max: must be an integer >= 2, got {n_max}"
+
 
 class TestParamsAt:
     def test_plain_variable(self):
