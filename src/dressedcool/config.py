@@ -170,10 +170,12 @@ def _convert(key: Key, raw: str):
             raise ConfigError(f"{key.name}: not a number: {raw!r}")
         return value
     if key.type == "int":
+        # text that is no integer stays as given: each int key reaches
+        # params.checked_int before it is used, whose text refuses it
         try:
             return int(raw)
         except ValueError:
-            raise ConfigError(f"{key.name}: not an integer: {raw!r}")
+            return raw
     if key.type == "bool":
         if raw == "true":
             return True

@@ -175,7 +175,8 @@ class SweepSpec:
                 f"gamma_zero_rule only applies to gamma_ratio sweeps, "
                 f"not {self.variable!r}")
         object.__setattr__(self, "grid", _checked_grid(self.grid))
-        checked_int("oracle_n_max", self.oracle_n_max, N_MAX_FLOOR)
+        object.__setattr__(self, "oracle_n_max", checked_int(
+            "oracle_n_max", self.oracle_n_max, N_MAX_FLOOR))
         if self.oracle:
             checked_cut(self.oracle_n_max, DIM_BUDGET, "oracle_n_max")
 

@@ -501,6 +501,34 @@ class TestExitCodes:
         assert code == EXIT_INVALID_INPUT
         assert "samples" in err
 
+    @pytest.mark.parametrize("argv, key, low", [
+        (["trajectory", *BASE_FLAGS, "--t-end", "1", "--n0", "1"],
+         "samples", 2),
+        (["sweep", *BASE_FLAGS, "--variable", "nu", "--grid-min", "8",
+          "--grid-max", "12", "--grid-count", "3", "--out-dir", "{tmp}"],
+         "grid_count", 1),
+        (["sweep", "--preset", "fig2", "--out-dir", "{tmp}"],
+         "oracle_n_max", 2),
+        (["sweep", "--preset", "fig2", "--out-dir", "{tmp}"], "workers", 1),
+        (["validate", *BASE_FLAGS], "n_max", 2),
+        (["validate", *BASE_FLAGS], "dim_cap", 6),
+    ], ids=["samples", "grid_count", "oracle_n_max", "workers", "n_max",
+            "dim_cap"])
+    @pytest.mark.parametrize("raw", ["2.5", "x"])
+    def test_int_key_refused_by_one_rule(self, argv, key, low, raw, capsys,
+                                         tmp_path, monkeypatch):
+        # text that is no integer gets the same rule's text as an integer
+        # below the key's floor, and no oracle runs for either
+        monkeypatch.setattr(lindblad, "build_liouvillian", no_oracle)
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        flag = "--" + key.replace("_", "-")
+        rule = f"error: {key}: must be an integer >= {low}, got "
+        for value in (raw, str(low - 1)):
+            code, out, err = run_cli(argv + [flag, value], capsys)
+            assert (code, out, err) == (EXIT_INVALID_INPUT, "",
+                                        rule + value + "\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSteadyCommand:
     def test_json_document(self, capsys):
@@ -1154,6 +1182,25 @@ class TestPinnedDocuments:
 
 
 class TestEntryPoint:
+    @pytest.mark.parametrize("argv", [
+        ["presets"], ["steady", *BASE_FLAGS],
+        ["sweep", "--preset", "fig2", "--out-dir", "{tmp}"],
+    ], ids=["presets", "steady", "sweep-fig2"])
+    def test_closed_form_command_loads_no_scipy(self, argv, tmp_path):
+        # only the oracle uses scipy and it imports scipy where it runs;
+        # -X importtime lists every module a run imports, wherever the
+        # import statement sits
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "dressedcool.cli",
+             *(a.replace("{tmp}", str(tmp_path)) for a in argv)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        imported = [line.split("|")[-1].strip()
+                    for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "dressedcool.lindblad" in imported
+        assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+
     def test_console_script_runs(self):
         proc = subprocess.run(
             ["dressedcool", "presets"], capture_output=True, text=True)

@@ -176,13 +176,37 @@ def kron_generator(liouv):
 
 
 def test_package_import_leaves_out_scipy_integrate():
-    # solve_ivp is imported where it runs: scipy.integrate pulls in
-    # scipy.optimize and more, which no closed-form command needs
+    # every scipy module is imported where it runs, in the oracle's
+    # functions and in the closed form's reduced ODE: scipy.sparse alone
+    # would take most of the package's import time, which no closed-form
+    # command needs
     code = ("import sys, dressedcool; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_oracle_solves_after_an_import_without_scipy():
+    # the first oracle call loads scipy itself: in a fresh interpreter
+    # whose package import left scipy out, the steady state is the one
+    # solved in this process, and the generator still reports nbytes
+    code = (
+        "import sys\n"
+        "import dressedcool\n"
+        "from dressedcool import lindblad\n"
+        "from dressedcool.params import PhysicalParams\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"p = PhysicalParams(**{dataclasses.asdict(AGREE_POINT)!r})\n"
+        "run = lindblad.converged_steady_state(p)\n"
+        "m = lindblad.build_liouvillian(p, 4).matrix\n"
+        "print(repr(run.n), run.history,\n"
+        "      m.nbytes == m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    run = converged_steady_state(AGREE_POINT)
+    assert proc.stdout == f"[]\n{run.n!r} {run.history} True\n"
 
 
 def test_propagator_route_leaves_out_scipy_integrate():

@@ -120,6 +120,14 @@ class TestSpecValidation:
         assert str(err.value) == \
             f"oracle_n_max: must be an integer >= 2, got {n_max}"
 
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_whole_float_oracle_n_max_is_echoed_as_an_int(self, oracle):
+        # the CLI parses the cut as an int, so a library spec given 12.0
+        # must echo the same 12 for one spec to have one document form
+        spec = small_spec(oracle=oracle, oracle_n_max=12.0)
+        echoed = spec.to_json_dict()["oracle_n_max"]
+        assert type(echoed) is int and echoed == 12
+
 
 class TestParamsAt:
     def test_plain_variable(self):
