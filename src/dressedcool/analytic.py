@@ -261,12 +261,21 @@ def steady_phonon(p: PhysicalParams) -> float | Heating:
 
 @dataclass(frozen=True)
 class DressedInit:
-    """Initial conditions in the dressed basis: inversion, coherence
-    amplitude and mean phonon number."""
+    """Initial inversion, coherence amplitude and mean phonon number in
+    the dressed basis, checked as the CLI checks rz0, re_rplus0, im_rplus0
+    and n0 (checked_real): all finite, n >= 0; InvalidParamsError if not."""
 
     rz: float
     rplus: complex = 0.0 + 0.0j
     n: float = 0.0
+
+    def __post_init__(self):
+        z = self.rplus
+        self.__dict__.update(           # frozen: store the checked values
+            rz=checked_real("rz", self.rz),
+            rplus=complex(checked_real("re_rplus", getattr(z, "real", z)),
+                          checked_real("im_rplus", getattr(z, "imag", 0.0))),
+            n=checked_real("n", self.n, 0))
 
 
 @dataclass(frozen=True)

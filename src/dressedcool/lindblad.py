@@ -42,7 +42,7 @@ build or solve) and a closed-form run never pays for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import TYPE_CHECKING
 
@@ -137,12 +137,13 @@ def _generator_type() -> type:
 class Liouvillian:
     """Sparse generator of the master equation in real coordinates.
 
-    `matrix` (float64 CSR, sorted int32 indices, no stored zeros) acts on
-    the real coordinates x of column-stacked vec(rho): slot (i, i) holds
-    rho_ii, slot (i, j) with i < j Re rho_ij and slot (j, i) Im rho_ij.
-    steady_state factors it and evolve integrates it; `apply` cross-checks
-    the vectorization with the dense defining operators alone (`channels`
-    holds all three (rate, A), on R_z, R- and R+, a zero rate included).
+    It holds `params`, the Fock cut `n_max` and the generator `matrix`
+    only; `dim` is derived from n_max by total_dim. `matrix` (float64 CSR,
+    sorted int32 indices, no stored zeros) acts on the real coordinates x
+    of column-stacked vec(rho): slot (i, i) holds rho_ii, slot (i, j) with
+    i < j Re rho_ij and slot (j, i) Im rho_ij. steady_state factors it and
+    evolve integrates it; `apply` derives the dense defining operators
+    again (_operators) and cross-checks the vectorization with them alone.
 
     The generator has a Z2 weak symmetry: give basis state |a, n> (dressed
     level a, Fock level n) the parity (a + n) mod 2; no term couples an
@@ -150,21 +151,11 @@ class Liouvillian:
     one whose parities differ (the odd sector). `even` marks the even
     sector of vec(rho), and so of x. evolve integrates the block of the
     sectors rho0 occupies; the even block is sliced once and kept.
-
-    n_max is the Fock cut; `dim`, the total Hilbert-space dimension, is
-    derived from it by total_dim and not stored.
     """
 
     params: PhysicalParams
     n_max: int
     matrix: scipy.sparse.csr_array
-    # operator bundle (dense (dim, dim)) used by apply() and observables
-    hamiltonian: np.ndarray
-    rz_op: np.ndarray
-    rplus_op: np.ndarray
-    number_op: np.ndarray
-    x_op: np.ndarray
-    channels: tuple[tuple[float, np.ndarray], ...] = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -172,16 +163,15 @@ class Liouvillian:
         return total_dim(self.n_max)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Right-hand side d(rho)/dt for one density matrix, summed over
-        all three channels (a zero rate adds zero); A', A'A, X X and
-        alpha eta^2 are formed here."""
-        h, x = self.hamiltonian, self.x_op
+        """Right-hand side d(rho)/dt for one density matrix from the dense
+        operators of _operators, summed over all three channels."""
+        h, x, channels = _operators(self.params, self.n_max)
         out = -1j * (h @ rho - rho @ h)
         alpha_eta2 = RECOIL_SECOND_MOMENT * self.params.eta ** 2
         x2 = x @ x
         smeared = rho + alpha_eta2 * (
             x @ rho @ x - 0.5 * (x2 @ rho + rho @ x2))
-        for rate, a in self.channels:
+        for rate, a in channels:
             a_dag = a.conj().T
             n_op = a_dag @ a
             out += (2.0 * rate) * (a @ smeared @ a_dag)
@@ -189,17 +179,14 @@ class Liouvillian:
         return out
 
     def expectations(self, rho: np.ndarray):
-        """(rz, rplus, n, tail_mass) for one density matrix; tail_mass is
-        the total population of the top two Fock levels (both dressed
-        levels)."""
-        rz = np.trace(self.rz_op @ rho).real
-        rplus = np.trace(rho @ self.rplus_op)
-        n = np.trace(self.number_op @ rho).real
+        """(rz, rplus, n, tail_mass) of one density matrix, read off its
+        entries; tail_mass is the population of the top two Fock levels."""
         levels = self.n_max + 1
-        pops = np.diag(rho).real
-        idx = [self.n_max - 1, self.n_max,
-               levels + self.n_max - 1, levels + self.n_max]
-        return rz, rplus, n, float(pops[idx].sum())
+        diag = np.diagonal(rho)
+        rz = (np.repeat([-1.0, 1.0], levels) * diag).sum().real
+        n = (_number_diagonal(self.n_max) * diag).sum().real
+        top = [levels - 2, levels - 1, 2 * levels - 2, 2 * levels - 1]
+        return rz, np.trace(rho, offset=levels), n, float(diag.real[top].sum())
 
     @cached_property
     def even(self) -> np.ndarray:
@@ -327,6 +314,31 @@ def _assemble(terms, dim: int) -> scipy.sparse.csr_array:
                              shape=(d2, d2))
 
 
+def _number_diagonal(n_max: int) -> np.ndarray:
+    """The diagonal of b'b, sqrt(n) sqrt(n) as in b'b, on both levels."""
+    root = np.sqrt(np.arange(n_max + 1))
+    return np.tile(root * root, 2)
+
+
+def _operators(p: PhysicalParams, n_max: int):
+    """(hamiltonian, X = b + b', channels): the dense defining operators
+    at `p`, channels the three (rate, A) on R_z, R- and R+, zero or not."""
+    f = dressed_frame(p)
+    eye_ph = np.eye(n_max + 1)
+    ann = np.diag(np.sqrt(np.arange(1, n_max + 1)), k=1).astype(complex)
+    rz_op = np.kron(np.diag([-1.0, 1.0]), eye_ph).astype(complex)
+    rplus_op = np.kron(np.array([[0.0, 0.0], [1.0, 0.0]]), eye_ph).astype(complex)
+    rminus_op = rplus_op.conj().T
+    number_op = np.diag(_number_diagonal(n_max)).astype(complex)
+    x = np.kron(np.eye(2), ann + ann.conj().T)
+    hamiltonian = (p.nu * number_op + f.omega_bar * rz_op
+                   + 1j * p.eta * p.omega * ((rplus_op - rminus_op) @ x))
+    channels = ((0.25 * p.gamma_zero * f.sin2_2theta, rz_op),
+                (p.gamma_plus * f.cos4_theta, rminus_op),
+                (p.gamma_minus * f.sin4_theta, rplus_op))
+    return hamiltonian, x, channels
+
+
 def build_liouvillian(p: PhysicalParams, n_max: int) -> Liouvillian:
     """Assemble the sparse superoperator for `p` on Fock levels 0..n_max.
 
@@ -334,8 +346,9 @@ def build_liouvillian(p: PhysicalParams, n_max: int) -> Liouvillian:
     dressed state. Vectorization is column-stacking, so vec(A rho B) =
     kron(B.T, A) vec(rho). The generator is listed below as one term of
     each Hermitian mirror pair of such Kronecker products of the dense
-    operators, and _assemble builds its real form from them: float64 CSR
-    with int32 indices, sorted, and no stored zeros.
+    operators of _operators, and _assemble builds its real form: float64
+    CSR with int32 indices, sorted, and no stored zeros. The Liouvillian
+    holds params, n_max and that matrix; `apply` derives the operators again.
 
     Raises
     ------
@@ -351,26 +364,8 @@ def build_liouvillian(p: PhysicalParams, n_max: int) -> Liouvillian:
         form's text, e.g. ``eta**2 overflows at eta = 1e+200``.
     """
     n_max = checked_cut(n_max, DEFAULT_DIM_CAP)
-
-    f = dressed_frame(p)
-    levels = n_max + 1
-    eye_ph = np.eye(levels)
-    ann = np.diag(np.sqrt(np.arange(1, levels)), k=1).astype(complex)
-
-    rz_op = np.kron(np.diag([-1.0, 1.0]), eye_ph).astype(complex)
-    rplus_op = np.kron(np.array([[0.0, 0.0], [1.0, 0.0]]), eye_ph).astype(complex)
-    rminus_op = rplus_op.conj().T
-    b = np.kron(np.eye(2), ann)
-    number_op = b.conj().T @ b
-    x = b + b.conj().T
+    hamiltonian, x, channels = _operators(p, n_max)
     x2 = x @ x
-
-    hamiltonian = (p.nu * number_op + f.omega_bar * rz_op
-                   + 1j * p.eta * p.omega * ((rplus_op - rminus_op) @ x))
-
-    channels = ((0.25 * p.gamma_zero * f.sin2_2theta, rz_op),
-                (p.gamma_plus * f.cos4_theta, rminus_op),
-                (p.gamma_minus * f.sin4_theta, rplus_op))
     alpha_eta2 = RECOIL_SECOND_MOMENT * _square("eta", p.eta)
 
     # one term of each mirror pair (see _assemble): -i H rho; per channel
@@ -390,11 +385,7 @@ def build_liouvillian(p: PhysicalParams, n_max: int) -> Liouvillian:
         raise InvalidParamsError(
             "n_max", "too large to evaluate: the generator has an entry "
             f"beyond double range at n_max = {n_max}")
-
-    return Liouvillian(params=p, n_max=n_max, matrix=lmat,
-                       hamiltonian=hamiltonian, rz_op=rz_op,
-                       rplus_op=rplus_op, number_op=number_op, x_op=x,
-                       channels=channels)
+    return Liouvillian(params=p, n_max=n_max, matrix=lmat)
 
 
 # --- initial states -----------------------------------------------------------
@@ -756,8 +747,7 @@ def steady_state(liouv: Liouvillian) -> SteadyStateResult:
     import scipy.sparse
     import scipy.sparse.linalg
 
-    lmat = liouv.matrix
-    dim = liouv.dim
+    lmat, dim = liouv.matrix, liouv.dim
     d2 = dim * dim
     trace_row = scipy.sparse.csr_array(
         (np.ones(dim), np.arange(0, d2, dim + 1), [0, dim]), shape=(1, d2))

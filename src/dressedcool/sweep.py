@@ -16,7 +16,6 @@ import io
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -316,6 +315,8 @@ def run_sweep(spec: SweepSpec, *, workers: int | None = None) -> SweepTable:
     workers = 1 if workers is None else checked_int("workers", workers, 1)
     workers = min(workers, len(spec.grid), os.cpu_count() or 1)
     if spec.oracle and workers > 1:
+        # here, not with the module: the pool loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_eval_point, [spec] * len(spec.grid),
                                  spec.grid))

@@ -30,6 +30,7 @@ from dressedcool.analytic import (
 from dressedcool.errors import (
     DegenerateRatesError,
     InvalidGridError,
+    InvalidParamsError,
     ZeroCouplingError,
 )
 from dressedcool.params import PhysicalParams
@@ -371,6 +372,30 @@ class TestTrajectory:
     def test_bad_grids_rejected(self, times):
         with pytest.raises(InvalidGridError):
             trajectory(FIG2_POINT, DressedInit(rz=0.0), times)
+
+    @pytest.mark.parametrize("fields, field, text", [
+        (dict(rz=-1, n=math.nan), "n", "must be finite, got nan"),
+        (dict(rz=-1.0, n=-0.5), "n", "must be >= 0, got -0.5"),
+        (dict(rz=math.inf), "rz", "must be finite, got inf"),
+        (dict(rz="x"), "rz", "not a number: 'x'"),
+        (dict(rz=0.0, rplus=complex(math.nan, 0.5)), "re_rplus",
+         "must be finite, got nan"),
+        (dict(rz=0.0, rplus=complex(0.5, -math.inf)), "im_rplus",
+         "must be finite, got -inf"),
+    ])
+    def test_bad_initial_state_rejected(self, fields, field, text):
+        # each field by the one scalar rule the CLI applies to its inputs;
+        # a nan n once gave n = [nan, nan] from trajectory
+        with pytest.raises(InvalidParamsError) as err:
+            trajectory(FIG2_POINT, DressedInit(**fields), [0.0, 1.0])
+        assert err.value.field == field
+        assert str(err.value) == f"{field}: {text}"
+
+    def test_initial_state_fields_are_numbers(self):
+        init = DressedInit(rz=np.float64(-1), rplus=0.5, n=3)
+        assert (init.rz, init.rplus, init.n) == (-1.0, 0.5 + 0.0j, 3.0)
+        assert [type(v) for v in (init.rz, init.rplus, init.n)] == [
+            float, complex, float]
 
     def test_metadata_fields(self):
         traj = trajectory(FIG2_POINT, DressedInit(rz=0.0), [0.0, 1.0])

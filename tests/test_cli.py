@@ -9,9 +9,11 @@ import io
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 import dressedcool
 from dressedcool import cli, lindblad
@@ -244,6 +246,19 @@ class TestExitCodes:
             capsys)
         assert code == EXIT_ORACLE
         assert "oracle error" in err
+
+    def test_trajectory_ode_failure_is_3(self, capsys, monkeypatch):
+        # the reduced phonon ODE's integrator reports failure
+        monkeypatch.setattr(
+            scipy.integrate, "solve_ivp", lambda *args, **kwargs:
+            SimpleNamespace(success=False, message="step size too small"))
+        code, out, err = run_cli(
+            ["trajectory", *BASE_FLAGS, "--t-end", "1", "--n0", "1",
+             "--ode", "true"], capsys)
+        assert code == EXIT_ORACLE
+        assert out == ""
+        assert err == ("oracle error: reduced-model integration failed: "
+                       "step size too small\n")
 
     def test_ill_conditioned_validate_names_its_certificate(self, capsys):
         # nu near 0 nearly conserves the phonon number (dimension 26)
@@ -1200,6 +1215,9 @@ class TestEntryPoint:
                     if line.startswith("import time:")]
         assert "dressedcool.lindblad" in imported
         assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+        # nor the process pool, which only a parallel oracle sweep starts
+        assert "concurrent.futures.process" not in imported
+        assert "multiprocessing" not in imported
 
     def test_console_script_runs(self):
         proc = subprocess.run(

@@ -13,11 +13,14 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 from scipy.integrate import solve_ivp
 
 from dressedcool import lindblad
@@ -149,16 +152,17 @@ def sparse_kron(left, right):
 
 def kron_generator(liouv):
     """The complex generator as scipy.sparse.kron products of the
-    Liouvillian's own defining operators, all ten terms of each channel
-    summed as sparse matrices: the reference for the real assembly,
-    written without it. A'A, X X and alpha eta^2 are formed here."""
+    Liouvillian's own defining operators, derived again from its params
+    and n_max, all ten terms of each channel summed as sparse matrices:
+    the reference for the real assembly, written without it. A'A, X X
+    and alpha eta^2 are formed here."""
     kron = sparse_kron
-    h, x = liouv.hamiltonian, liouv.x_op
+    h, x, channels = lindblad._operators(liouv.params, liouv.n_max)
     x2 = x @ x
     alpha = RECOIL_SECOND_MOMENT * liouv.params.eta ** 2
     eye = np.eye(liouv.dim)
     lmat = -1j * (kron(eye, h) - kron(h.T, eye))
-    for rate, a in liouv.channels:
+    for rate, a in channels:
         n_op = a.conj().T @ a
         ax, ax2 = a @ x, a @ x2
         sandwich = kron(a.conj(), a)
@@ -294,6 +298,9 @@ class TestBuild:
     def test_dim_is_derived_not_stored(self, agree_liouv):
         # one dimension rule, total_dim, and no stored copy of it
         assert "dim" not in {f.name for f in dataclasses.fields(Liouvillian)}
+        # nor of the dense operators, which apply derives again
+        assert {f.name for f in dataclasses.fields(Liouvillian)} == {
+            "params", "n_max", "matrix"}
         assert agree_liouv.dim == lindblad.total_dim(agree_liouv.n_max) == \
             2 * (agree_liouv.n_max + 1)
 
@@ -412,7 +419,8 @@ class TestBuild:
         # the real generator is T^-1 (kron sum) T, T built slot by slot
         liouv = build_liouvillian(p, n_max)
         if p.omega < 1e-100:
-            assert [rate for rate, _ in liouv.channels] == [0.0, 0.0, 0.0]
+            channels = lindblad._operators(p, n_max)[2]
+            assert [rate for rate, _ in channels] == [0.0, 0.0, 0.0]
         m = liouv.matrix
         ref = in_real_coordinates(kron_generator(liouv), liouv.dim)
         assert m.shape == ref.shape
@@ -491,9 +499,51 @@ class TestBuild:
         two[2, 2] = 1.0
         _, _, n2, _ = liouv.expectations(product_state(MIXED, two))
         assert n2 == pytest.approx(2.0)
+        rplus_op = np.kron([[0.0, 0.0], [1.0, 0.0]], np.eye(5))
         assert np.trace(
-            product_state(MIXED, two) @ liouv.rplus_op) == pytest.approx(
-                0.3 - 0.1j)
+            product_state(MIXED, two) @ rplus_op) == pytest.approx(0.3 - 0.1j)
+        _, rplus2, _, _ = liouv.expectations(product_state(MIXED, two))
+        assert rplus2 == pytest.approx(0.3 - 0.1j)
+
+    @pytest.mark.parametrize("p, n_max", [
+        (AGREE_POINT, 2), (make(eta=0.0), 63), (make(gamma_minus=0.0), 12),
+        (make(eta=0.0, gamma_zero=0.0), 7), (RESONANT_POINT, 22),
+        *((make(delta=float(d), nu=float(nu), eta=float(eta)), int(n_max))
+          for d, nu, eta, n_max in zip(
+              *np.random.default_rng(33).uniform(
+                  [-20.0, 1.0, 0.0, 2.0], [20.0, 30.0, 0.3, 64.0],
+                  size=(8, 4)).T))],
+        ids=lambda v: None if isinstance(v, PhysicalParams) else f"n_max-{v}")
+    def test_readout_is_the_dense_operator_products(self, p, n_max):
+        # expectations reads rz and n off the diagonal of rho: the same
+        # products the dense traces below form, summed in the same
+        # pairwise order, so equal bit for bit. rplus sums the n_max + 1
+        # entries of Tr(rho R+) without the n_max + 1 zeros the dense
+        # trace adds, so it agrees to the rounding of that sum
+        liouv = build_liouvillian(p, n_max)
+        d, levels = liouv.dim, n_max + 1
+        eye_ph = np.eye(levels)
+        rz_op = np.kron(np.diag([-1.0, 1.0]), eye_ph).astype(complex)
+        rplus_op = np.kron([[0.0, 0.0], [1.0, 0.0]], eye_ph).astype(complex)
+        b = np.kron(np.eye(2), np.diag(np.sqrt(np.arange(1, levels)),
+                                       k=1).astype(complex))
+        number_op = b.conj().T @ b
+        rng = np.random.default_rng(n_max)
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        states = [m @ m.conj().T / np.trace(m @ m.conj().T).real,
+                  product_state(MIXED, thermal_phonon(n_max, 0.5))]
+        if d <= 46 and p.eta != 0.0:   # eta = 0 has no unique kernel
+            states.append(steady_state(liouv).rho)
+        for rho in states:
+            rz, rplus, n, tail = liouv.expectations(rho)
+            assert rz == np.trace(rz_op @ rho).real
+            assert n == np.trace(number_op @ rho).real
+            pops = np.diag(rho).real
+            assert tail == pops[[n_max - 1, n_max, levels + n_max - 1,
+                                 levels + n_max]].sum()
+            terms = np.abs(np.diagonal(rho, offset=levels)).sum()
+            assert abs(rplus - np.trace(rho @ rplus_op)) <= (
+                4 * np.finfo(float).eps * terms)
 
 
 class TestStateHelpers:
@@ -755,7 +805,25 @@ def decay_block(eta):
     return gen, dt, lindblad._squarings(lindblad._norm1(gen) * dt)
 
 
+FAILED_SOLVE_MESSAGE = "Required step size is less than spacing between numbers."
+
+
+def failed_solve(*args, **kwargs):
+    """A stand-in for scipy.integrate.solve_ivp that reports failure."""
+    return SimpleNamespace(success=False, message=FAILED_SOLVE_MESSAGE)
+
+
 class TestEvolveRoutes:
+    def test_dop853_failure_is_an_oracle_error(self, monkeypatch):
+        liouv = build_liouvillian(RESONANT_POINT, 4)
+        rho0 = product_state(MIXED, thermal_phonon(4, 0.3, cut=2))
+        assert route_taken(liouv, rho0, 1.0, n_samples=21) == "_dop853_samples"
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", failed_solve)
+        with pytest.raises(OracleError) as err:
+            evolve(liouv, rho0, 1.0, n_samples=21)
+        assert str(err.value) == (
+            f"integration failed: {FAILED_SOLVE_MESSAGE}")
+
     @pytest.mark.parametrize("atom", ["diagonal", "odd"])
     @pytest.mark.parametrize("t_end, n_samples, propagator", [
         (1.0, 21, False), (30.0, 61, True), (60.0, 201, True)])
@@ -966,7 +1034,9 @@ class TestSteadyState:
         rhs[0] = 1.0
         rho = scipy.linalg.lu_solve((lu, piv), rhs).reshape(d, d, order="F")
         rho = 0.5 * (rho + rho.conj().T)
-        n = np.trace(liouv.number_op @ rho).real / np.trace(rho).real
+        ann = np.diag(np.sqrt(np.arange(1, liouv.n_max + 1)), k=1)
+        number_op = np.kron(np.eye(2), ann.T @ ann)
+        n = np.trace(number_op @ rho).real / np.trace(rho).real
         assert res.n == pytest.approx(n, rel=1e-12)
         assert res.rcond == pytest.approx(rcond, rel=1e-6)
 
@@ -1004,6 +1074,31 @@ class TestSteadyState:
                                   "(rcond = ")
         assert message.endswith("); kernel is not one-dimensional "
                                 "within tolerance")
+
+    def test_residual_refuses_a_solve_off_the_kernel(self, agree_liouv,
+                                                      monkeypatch):
+        # the factor's solve is moved off the kernel by 1e-6 in slot 1
+        # (Im rho_01), too little to move the condition estimate; the
+        # residual, measured against the unmodified generator, refuses it
+        real_splu = scipy.sparse.linalg.splu
+
+        class OffKernel:
+            def __init__(self, lu):
+                self.lu, self.shape = lu, lu.shape
+
+            def solve(self, rhs, trans="N"):
+                x = self.lu.solve(rhs, trans=trans)
+                x[1] += 1e-6
+                return x
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                            lambda a: OffKernel(real_splu(a)))
+        with pytest.raises(NoSteadyStateError) as err:
+            steady_state(agree_liouv)
+        residual = 1e-6 * abs(agree_liouv.matrix[:, [1]]).max()
+        assert residual > lindblad.RESIDUAL_TOL
+        assert str(err.value) == (
+            f"kernel residual {residual:.3e} exceeds 1.0e-10")
 
     def test_agrees_with_long_time_evolution(self):
         liouv = build_liouvillian(RESONANT_POINT, 8)
@@ -1070,6 +1165,13 @@ class TestReducedPhononEvolve:
         n_s = steady_phonon(FIG2_POINT)
         ode = reduced_phonon_evolve(FIG2_POINT, n_s, np.linspace(0, 20, 11))
         assert np.abs(ode - n_s).max() < 1e-10
+
+    def test_integrator_failure_is_an_oracle_error(self, monkeypatch):
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", failed_solve)
+        with pytest.raises(OracleError) as err:
+            reduced_phonon_evolve(FIG2_POINT, 1.5, [0.0, 1.0])
+        assert str(err.value) == (
+            f"reduced-model integration failed: {FAILED_SOLVE_MESSAGE}")
 
     def test_time_zero_grid(self):
         out = reduced_phonon_evolve(FIG2_POINT, 1.5, [0.0])

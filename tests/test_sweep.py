@@ -1,5 +1,6 @@
 """Sweep module: spec validation, presets, row semantics, serialization."""
 
+import concurrent.futures
 import json
 
 import numpy as np
@@ -411,7 +412,10 @@ class TestOracleSweeps:
                 assert options == {}    # one point per task
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+        # run_sweep imports the pool class from concurrent.futures where
+        # it starts the pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(sweep, "_eval_point",
                             lambda spec, x: SweepRow(x=x))
