@@ -24,6 +24,7 @@ from .params import (RECOIL_SECOND_MOMENT, PhysicalParams, _square,
 
 __all__ = [
     "RECOIL_SECOND_MOMENT",
+    "DEFAULT_MARGIN",
     "HEATING",
     "Heating",
     "is_heating",
@@ -44,6 +45,14 @@ __all__ = [
 
 # r11 - r22 below this is treated as exact population balance (heating).
 _BALANCE_TOL = 1e-14
+
+# the most e-folds |C| * t_end reduced_phonon_evolve integrates: DOP853
+# takes about 1 s per 1e5 of them
+_ODE_EFOLDS = 1e5
+
+# the factor by which each "much greater" validity check's left side must
+# exceed its right side, unless the caller gives another
+DEFAULT_MARGIN = 10.0
 
 
 @dataclass(frozen=True)
@@ -342,7 +351,8 @@ def trajectory(p: PhysicalParams,
         rz = (init.rz - atom.rz) * np.exp(-2.0 * (rates.gamma_s * t)) + atom.rz
         rplus = init.rplus * np.exp(-rates.gamma_perp * t)
     if c == 0.0:
-        n = init.n + a_plus_rate * t
+        with np.errstate(over="ignore"):   # beyond double range: +inf
+            n = init.n + a_plus_rate * t
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             decay = np.exp(-c * t)
@@ -366,8 +376,12 @@ def reduced_phonon_evolve(p: PhysicalParams, n0: float, times) -> np.ndarray:
 
     This is an actual ODE solve, not the exponential closed form, so it
     independently checks the analytic trajectory expression. An n0 that
-    is not a finite number raises InvalidParamsError; an integrator
-    failure raises OracleError.
+    is not a finite number >= 0 raises InvalidParamsError (checked_real).
+    DOP853's step stays below a constant over |C|, so the work grows with
+    |C| * t_end: beyond _ODE_EFOLDS e-folds (about 1 s) the grid raises
+    InvalidGridError before any step. An integrator failure raises
+    OracleError, and a sample that is not finite OverflowError (see
+    _finite).
     """
     # scipy is imported here, not at module level, so that importing the
     # closed form costs numpy only
@@ -377,14 +391,27 @@ def reduced_phonon_evolve(p: PhysicalParams, n0: float, times) -> np.ndarray:
     rates = rate_set(p)
     c = rates.cooling_rate
     source = rates.a_rate_plus
-    n0 = checked_real("n0", n0)
-    if t[-1] == 0.0:
+    n0 = checked_real("n0", n0, 0)
+    t_end = float(t[-1])
+    if t_end == 0.0:
         return np.array([n0])
-    sol = solve_ivp(lambda tt, y: -c * y + source, (0.0, float(t[-1])),
-                    [n0], method="DOP853", t_eval=t, rtol=1e-12, atol=1e-14)
+    efolds = abs(c) * t_end
+    if efolds > _ODE_EFOLDS:
+        raise InvalidGridError(
+            f"|C|*t_end = {efolds:.3g} e-folds exceeds the reduced ODE's "
+            f"bound of {_ODE_EFOLDS:.0e}")
+    # an overflowing step is rejected by the integrator or leaves a
+    # sample that is not finite; both are reported below, not warned
+    with np.errstate(all="ignore"):
+        sol = solve_ivp(lambda tt, y: -c * y + source, (0.0, t_end),
+                        [n0], method="DOP853", t_eval=t, rtol=1e-12,
+                        atol=1e-14)
     if not sol.success:
         raise OracleError(f"reduced-model integration failed: {sol.message}")
-    return sol.y[0]
+    n = sol.y[0]
+    if not np.isfinite(n).all():
+        _finite("n_ode", float(n[~np.isfinite(n)][0]))
+    return n
 
 
 # --- validity diagnostics ----------------------------------------------------
@@ -443,7 +470,8 @@ def _much_greater(name: str, lhs: float, rhs: float, margin: float) -> ValidityC
                          ratio=ratio, satisfied=ratio >= margin)
 
 
-def validity_report(p: PhysicalParams, margin: float = 10.0) -> ValidityReport:
+def validity_report(p: PhysicalParams,
+                    margin: float = DEFAULT_MARGIN) -> ValidityReport:
     """Check the regime where the closed forms hold.
 
     secular:             max(gamma) << 2*omega_bar   (ratio >= margin)
@@ -452,8 +480,10 @@ def validity_report(p: PhysicalParams, margin: float = 10.0) -> ValidityReport:
     coherence_adiabatic: |C| << gamma_perp           (ratio >= margin)
 
     The adiabatic checks compare against |C| so heating-side parameters are
-    judged by magnitude; C = 0 passes with an infinite ratio.  A margin
-    that is not a finite number > 0 raises InvalidParamsError (checked_real).
+    judged by magnitude; C = 0 passes with an infinite ratio.  margin
+    defaults to DEFAULT_MARGIN (10), which the CLI's --margin default reads
+    too; a margin that is not a finite number > 0 raises InvalidParamsError
+    (checked_real).
     """
     margin = checked_real("margin", margin, 0, strict=True)
     f = dressed_frame(p)

@@ -43,7 +43,6 @@ from .errors import (
     EXIT_PHYSICS,
     ConfigError,
     DressedCoolError,
-    HeatingRunError,
 )
 from .lindblad import converged_steady_state
 from .params import checked_int, checked_real
@@ -243,7 +242,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     report = validity_report(p, margin=cfg["margin"])
     ns = steady_phonon(p)
     if is_heating(ns):
-        raise HeatingRunError(
+        raise DressedCoolError(
             "cannot validate at a heating point: no stationary phonon "
             "number exists there")
     if ns == 0.0:

@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from .analytic import DEFAULT_MARGIN
 from .errors import ConfigError
 from .lindblad import (
     DEFAULT_DIM_CAP,
@@ -68,12 +69,12 @@ _FORMAT_CSV, _FORMAT_JSON = (
         choices=("csv", "json"))
     for default in ("csv", "json"))
 _OUTPUT = Key("output", "str", "-", "output path, '-' for stdout")
+_MARGIN = Key("margin", "float", DEFAULT_MARGIN, "validity margin factor")
 
 
 SCHEMAS: dict[str, tuple[Key, ...]] = {
     "steady": _PARAM_KEYS + (
-        Key("margin", "float", 10.0, "validity margin factor"),
-        _REFERENCE_RATE, _FORMAT_JSON, _OUTPUT,
+        _MARGIN, _REFERENCE_RATE, _FORMAT_JSON, _OUTPUT,
     ),
     "trajectory": _PARAM_KEYS + (
         Key("t_end", "float", REQUIRED, "final time of the series, > 0"),
@@ -113,8 +114,7 @@ SCHEMAS: dict[str, tuple[Key, ...]] = {
             f"({total_dim(N_MAX_FLOOR)}-{DEFAULT_DIM_CAP})"),
         Key("threshold", "float", 0.15,
             "relative disagreement that still counts as a pass"),
-        Key("margin", "float", 10.0, "validity margin factor"),
-        _REFERENCE_RATE, _FORMAT_JSON, _OUTPUT,
+        _MARGIN, _REFERENCE_RATE, _FORMAT_JSON, _OUTPUT,
     ),
     "presets": (_FORMAT_JSON, _OUTPUT),
 }

@@ -55,11 +55,6 @@ class ZeroCouplingError(DressedCoolError):
     is undefined on the cooling side."""
 
 
-class HeatingRunError(DressedCoolError):
-    """An operation that needs a stationary phonon number was asked to run
-    at a heating point, where none exists."""
-
-
 # --- oracle failures ---------------------------------------------------------
 
 class OracleError(DressedCoolError):

@@ -777,7 +777,7 @@ def steady_state(liouv: Liouvillian) -> SteadyStateResult:
 
     rho = _from_real(x.reshape(dim, dim, order="F"))
     trace = np.trace(rho).real
-    trace_dev = abs(trace - 1.0)
+    trace_dev = float(abs(trace - 1.0))
     rho /= trace
     _, herm_defect, min_eig = map(float, _health(rho))
     rz, _, n, tail = liouv.expectations(rho)

@@ -52,8 +52,7 @@ _ORACLE_MARKER = "oracle "
 
 def _cell(value) -> str:
     """One CSV cell: empty for None, the sentinel for HEATING, lowercase
-    booleans, str otherwise (for a float, Python's or numpy's, its repr as
-    a Python float)."""
+    booleans, str otherwise (for a float, its repr)."""
     if value is None:
         return ""
     if is_heating(value):
@@ -73,9 +72,9 @@ def _csv_text(rows) -> str:
 
 
 def _json_value(value):
-    """Recursively make a document strict-JSON safe and deterministic."""
-    if isinstance(value, (float, np.floating)):     # the common case first
-        value = float(value)
+    """Recursively make a document strict-JSON safe and deterministic.
+    Every value is a Python one: no numpy scalar reaches a document."""
+    if isinstance(value, float):        # the common case first
         if math.isfinite(value):
             return value
         return repr(value)       # "inf" / "-inf" / "nan" as strings
@@ -89,8 +88,6 @@ def _json_value(value):
         return [_json_value(v) for v in value]
     if isinstance(value, complex):
         return {"re": _json_value(value.real), "im": _json_value(value.imag)}
-    if isinstance(value, (np.bool_, np.integer)):
-        return value.item()
     return value
 
 

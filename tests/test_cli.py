@@ -16,7 +16,7 @@ import pytest
 import scipy.integrate
 
 import dressedcool
-from dressedcool import cli, lindblad
+from dressedcool import cli, lindblad, sweep
 from dressedcool.cli import (
     EXIT_INVALID_INPUT,
     EXIT_OK,
@@ -259,6 +259,41 @@ class TestExitCodes:
         assert out == ""
         assert err == ("oracle error: reduced-model integration failed: "
                        "step size too small\n")
+
+    @pytest.mark.parametrize("changes, flags, code, line", [
+        # n0 near the double limit: DOP853's stages overflow to nan
+        ({}, ["--t-end", "5", "--n0", "1e308"], EXIT_INVALID_INPUT,
+         "error: inputs too large to evaluate: n_ode evaluates to nan"),
+        # C = -0.0070: e^{|C| t} overflows long before t_end
+        ({"gamma_minus": "2"}, ["--t-end", "1e6", "--n0", "1"], EXIT_ORACLE,
+         "oracle error: reduced-model integration failed: "),
+    ], ids=["n0-near-limit", "growing-overflow"])
+    def test_trajectory_ode_overflow_writes_one_line(self, changes, flags,
+                                                     code, line):
+        # a fresh interpreter, so that scipy's RuntimeWarnings would show
+        # on stderr as they do for a user
+        args = [*base_flags(**changes), *flags, "--samples", "3",
+                "--ode", "true"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "dressedcool.cli", "trajectory", *args],
+            capture_output=True, text=True)
+        assert proc.returncode == code
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(line)
+
+    def test_trajectory_ode_beyond_its_work_bound_is_1(self, capsys,
+                                                       monkeypatch):
+        # C = 0.0267 over t_end 1e10: 2.67e8 e-folds, refused unstepped
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *a, **k:
+                            pytest.fail("the ODE must not be integrated"))
+        code, out, err = run_cli(
+            ["trajectory", *BASE_FLAGS, "--t-end", "1e10", "--n0", "1",
+             "--ode", "true"], capsys)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err == ("error: |C|*t_end = 2.67e+08 e-folds exceeds the "
+                       "reduced ODE's bound of 1e+05\n")
 
     def test_ill_conditioned_validate_names_its_certificate(self, capsys):
         # nu near 0 nearly conserves the phonon number (dimension 26)
@@ -1116,6 +1151,27 @@ class TestFuzz:
                             and path[2] == doc["columns"].index("n"))
                         ), (argv, path)
 
+    def test_trajectory_ode(self, capsys):
+        # seeded draws of trajectory --ode true, with an initial phonon
+        # number and a final time from plain to near the double limit: the
+        # same outcomes as above, with no RuntimeWarning (the suite turns
+        # each into an error), and no inf or nan in a clean n_ode column
+        rng = np.random.default_rng(2115)
+        weights = np.where(np.isin(FUZZ_VALUES, (0.02, 1.0, 5.0, 12.0)),
+                           10.0, 1.0)
+        for _ in range(150):
+            argv = ["trajectory", *fuzz_flags(rng, weights / weights.sum()),
+                    "--t-end", str(rng.choice(["1", "40", "1e6"])),
+                    "--n0", str(rng.choice(["0", "3", "1e308"])),
+                    "--samples", "5", "--ode", "true", "--format", "json"]
+            code, out, err = run_cli(argv, capsys)
+            assert_documented_outcome(argv, code, err)
+            if code == 0:
+                doc = json.loads(out)
+                column = doc["columns"].index("n_ode")
+                assert [p for p in non_finite(doc["rows"])
+                        if p[1] == column] == [], argv
+
     def test_validate_with_a_small_dim_cap(self, capsys):
         # seeded draws of validate at small Fock cuts and dimension caps
         # of 6 to 20, so the oracle's failures (singular or ill-conditioned
@@ -1194,6 +1250,38 @@ class TestPinnedDocuments:
         got = document_digest(argv + ["--format", fmt], capsys, tmp_path,
                               monkeypatch)
         assert got == (json_digest if fmt == "json" else csv_digest)
+
+
+def python_values_only(encoder):
+    """encoder, failing on any numpy scalar it is given."""
+    def wrapped(value):
+        assert not isinstance(value, np.generic), (encoder.__name__, value)
+        return encoder(value)
+    return wrapped
+
+
+class TestDocumentValues:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_no_numpy_scalar_reaches_an_encoder(self, fmt, capsys, tmp_path,
+                                                monkeypatch):
+        # the encoders take Python values only: each value of every
+        # document passes through one of these three names
+        json_value = python_values_only(sweep._json_value)
+        monkeypatch.setattr(sweep, "_json_value", json_value)
+        monkeypatch.setattr(cli, "_json_value", json_value)
+        monkeypatch.setattr(sweep, "_cell", python_values_only(sweep._cell))
+        for argv in (
+                ["steady", *BASE_FLAGS],
+                ["trajectory", *BASE_FLAGS, "--t-end", "40", "--samples",
+                 "21", "--n0", "3", "--ode", "true"],
+                ["validate", *BASE_FLAGS],
+                ["presets"],
+                ["sweep", "--preset", "fig2", "--out-dir", str(tmp_path)],
+                ["sweep", *BASE_FLAGS, "--variable", "nu", "--grid-min", "9",
+                 "--grid-max", "10", "--grid-count", "2", "--oracle", "true",
+                 "--oracle-n-max", "8", "--out-dir", str(tmp_path)]):
+            code, _, err = run_cli([*argv, "--format", fmt], capsys)
+            assert (code, err) == (EXIT_OK, ""), argv
 
 
 class TestEntryPoint:

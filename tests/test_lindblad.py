@@ -1173,6 +1173,29 @@ class TestReducedPhononEvolve:
         assert str(err.value) == (
             f"reduced-model integration failed: {FAILED_SOLVE_MESSAGE}")
 
+    def test_work_bound_refused_before_any_step(self, monkeypatch):
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *a, **k:
+                            pytest.fail("the ODE must not be integrated"))
+        c = rate_set(AGREE_POINT).cooling_rate
+        with pytest.raises(InvalidGridError) as err:
+            reduced_phonon_evolve(AGREE_POINT, 1.0, [0.0, 1.5e5 / c])
+        assert str(err.value) == ("|C|*t_end = 1.5e+05 e-folds exceeds the "
+                                  "reduced ODE's bound of 1e+05")
+
+    def test_non_finite_sample_is_an_overflow(self):
+        # n0 near the double limit: DOP853's stages overflow to nan, which
+        # no RuntimeWarning reports
+        with pytest.raises(OverflowError, match="^n_ode evaluates to nan$"):
+            reduced_phonon_evolve(AGREE_POINT, 1e308, [0.0, 2.5, 5.0])
+
+    def test_overflowing_growth_is_an_oracle_error(self):
+        # C = -0.0070: e^{|C| t} overflows at t ~ 1e5, and the integrator
+        # stops with no RuntimeWarning
+        p = make(nu=10.0, eta=0.02, gamma_minus=2.0)
+        with pytest.raises(OracleError,
+                           match="^reduced-model integration failed: "):
+            reduced_phonon_evolve(p, 1.0, [0.0, 5e5, 1e6])
+
     def test_time_zero_grid(self):
         out = reduced_phonon_evolve(FIG2_POINT, 1.5, [0.0])
         assert out.tolist() == [1.5]

@@ -180,15 +180,15 @@ def _evolve(**kwargs):
 
 
 # every library entry point that takes a scalar input through
-# params.checked_real or params.checked_int: (field, its lower bound or
-# None for a finite-only input, call with the input at the given value)
+# params.checked_real or params.checked_int: (field, its lower bound,
+# call with the input at the given value)
 REAL_INPUTS = {
     "PhysicalParams": ("nu", 0, lambda v: make(nu=v)),
     "validity_report": ("margin", 0, lambda v: validity_report(make(), v)),
     "thermal_phonon": ("nbar", 0, lambda v: thermal_phonon(4, v)),
     "evolve": ("t_end", 0, lambda v: _evolve(t_end=v)),
     "reduced_phonon_evolve": (
-        "n0", None, lambda v: reduced_phonon_evolve(make(), v, [0.0, 1.0])),
+        "n0", 0, lambda v: reduced_phonon_evolve(make(), v, [0.0, 1.0])),
 }
 INT_INPUTS = {
     "evolve": ("n_samples", 2, lambda v: _evolve(n_samples=v)),
@@ -204,8 +204,7 @@ INT_INPUTS = {
 def _cases(inputs, bad_values):
     return [pytest.param(name, bad(low), id=f"{name}-{label}")
             for name, (_, low, _) in inputs.items()
-            for label, bad in bad_values
-            if low is not None or label != "below"]
+            for label, bad in bad_values]
 
 
 class TestScalarRules:
