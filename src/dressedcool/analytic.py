@@ -49,6 +49,8 @@ _BALANCE_TOL = 1e-14
 # the most e-folds |C| * t_end reduced_phonon_evolve integrates: DOP853
 # takes about 1 s per 1e5 of them
 _ODE_EFOLDS = 1e5
+# the most e-folds a double can grow by: e^x overflows above ln(DBL_MAX)
+_LN_DBL_MAX = math.log(np.finfo(float).max)
 
 # the factor by which each "much greater" validity check's left side must
 # exceed its right side, unless the caller gives another
@@ -379,7 +381,9 @@ def reduced_phonon_evolve(p: PhysicalParams, n0: float, times) -> np.ndarray:
     is not a finite number >= 0 raises InvalidParamsError (checked_real).
     DOP853's step stays below a constant over |C|, so the work grows with
     |C| * t_end: beyond _ODE_EFOLDS e-folds (about 1 s) the grid raises
-    InvalidGridError before any step. An integrator failure raises
+    InvalidGridError before any step. A growing n (C < 0) whose e^{|C| t}
+    leaves double range by t_end, where trajectory writes +inf, raises
+    OverflowError before any step too. An integrator failure raises
     OracleError, and a sample that is not finite OverflowError (see
     _finite).
     """
@@ -400,6 +404,9 @@ def reduced_phonon_evolve(p: PhysicalParams, n0: float, times) -> np.ndarray:
         raise InvalidGridError(
             f"|C|*t_end = {efolds:.3g} e-folds exceeds the reduced ODE's "
             f"bound of {_ODE_EFOLDS:.0e}")
+    if c < 0.0 and efolds > _LN_DBL_MAX:
+        raise OverflowError(f"n_ode grows by {efolds:.3g} e-folds, beyond "
+                            f"double range ({_LN_DBL_MAX:.2f})")
     # an overflowing step is rejected by the integrator or leaves a
     # sample that is not finite; both are reported below, not warned
     with np.errstate(all="ignore"):

@@ -26,14 +26,10 @@ from .lindblad import (
     total_dim,
 )
 from .params import PhysicalParams
+from .sweep import GAMMA_ZERO_RULES, SWEEP_VARIABLES
 
 
-class _Required:
-    def __repr__(self):
-        return "<required>"
-
-
-REQUIRED = _Required()
+REQUIRED = object()
 
 
 @dataclass(frozen=True)
@@ -92,12 +88,12 @@ SCHEMAS: dict[str, tuple[Key, ...]] = {
         Key("preset", "str", "", "figure preset name; empty = custom sweep"),
         Key("variable", "str", "",
             "custom sweeps: quantity to scan "
-            "(delta, gamma_ratio, nu, eta, omega)"),
+            f"({', '.join(SWEEP_VARIABLES)})"),
         Key("grid_min", "float", 0.0, "custom sweeps: first grid value"),
         Key("grid_max", "float", 0.0, "custom sweeps: last grid value"),
         Key("grid_count", "int", 0, "custom sweeps: number of grid points"),
         Key("gamma_zero_rule", "str", "",
-            "gamma_ratio sweeps: track_gamma_minus or fixed"),
+            f"gamma_ratio sweeps: {' or '.join(GAMMA_ZERO_RULES)}"),
         Key("oracle", "bool", False, "solve the full model at every point"),
         Key("oracle_n_max", "int", N_MAX_START,
             "starting Fock cut for oracle solves"),
@@ -170,12 +166,18 @@ def _convert(key: Key, raw: str):
             raise ConfigError(f"{key.name}: not a number: {raw!r}")
         return value
     if key.type == "int":
-        # text that is no integer stays as given: each int key reaches
-        # params.checked_int before it is used, whose text refuses it
+        # a whole number in float notation (3.0, 2e2) is that int; other
+        # text stays as given: each int key reaches params.checked_int
+        # before it is used, whose text refuses it
         try:
             return int(raw)
         except ValueError:
+            pass
+        try:
+            value = float(raw)
+        except ValueError:
             return raw
+        return int(value) if value.is_integer() else raw
     if key.type == "bool":
         if raw == "true":
             return True

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -111,26 +111,6 @@ RESIDUAL_TOL = 1e-10
 CONVERGENCE_REL_TOL = 1e-4
 ESCALATION_STEP = 4
 TAIL_MASS_LIMIT = 1e-6
-
-
-# The generator's type exists only because perfbench/tracer.py reads
-# build_liouvillian(...).matrix.nbytes, which a plain csr_array lacks. It
-# is made on the first build, so that importing the package loads no
-# scipy; removing it waits for a change to the benchmark in which the
-# tracer counts the generator's bytes itself.
-@cache
-def _generator_type() -> type:
-    """The csr_array subclass whose nbytes is its stored arrays' bytes."""
-    import scipy.sparse
-
-    class _Generator(scipy.sparse.csr_array):
-        """CSR generator that reports its stored size like an ndarray."""
-
-        @property
-        def nbytes(self) -> int:
-            return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
-
-    return _Generator
 
 
 @dataclass(eq=False)
@@ -310,8 +290,9 @@ def _assemble(terms, dim: int) -> scipy.sparse.csr_array:
     lmat = scipy.sparse.coo_array((v, (r, c)),
                                   shape=(d2, d2)).tocsr()   # sums duplicates
     lmat.eliminate_zeros()
-    return _generator_type()((lmat.data, lmat.indices, lmat.indptr),
-                             shape=(d2, d2))
+    # perfbench/tracer.py reads .matrix.nbytes, which a csr_array lacks
+    lmat.nbytes = lmat.data.nbytes + lmat.indices.nbytes + lmat.indptr.nbytes
+    return lmat
 
 
 def _number_diagonal(n_max: int) -> np.ndarray:

@@ -264,9 +264,11 @@ class TestExitCodes:
         # n0 near the double limit: DOP853's stages overflow to nan
         ({}, ["--t-end", "5", "--n0", "1e308"], EXIT_INVALID_INPUT,
          "error: inputs too large to evaluate: n_ode evaluates to nan"),
-        # C = -0.0070: e^{|C| t} overflows long before t_end
-        ({"gamma_minus": "2"}, ["--t-end", "1e6", "--n0", "1"], EXIT_ORACLE,
-         "oracle error: reduced-model integration failed: "),
+        # C = -0.0070: e^{|C| t} overflows long before t_end, refused
+        # before any step as the closed form writes n = +inf there
+        ({"gamma_minus": "2"}, ["--t-end", "1e6", "--n0", "1"],
+         EXIT_INVALID_INPUT, "error: inputs too large to evaluate: n_ode "
+         "grows by 7.02e+03 e-folds, beyond double range (709.78)"),
     ], ids=["n0-near-limit", "growing-overflow"])
     def test_trajectory_ode_overflow_writes_one_line(self, changes, flags,
                                                      code, line):
@@ -578,6 +580,27 @@ class TestExitCodes:
             assert (code, out, err) == (EXIT_INVALID_INPUT, "",
                                         rule + value + "\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, flag, count, whole", [
+        (["trajectory", *BASE_FLAGS, "--t-end", "1", "--n0", "1"],
+         "--samples", "3", "3.0"),
+        (["validate", *BASE_FLAGS], "--n-max", "12", "12.0"),
+        (["sweep", *BASE_FLAGS, "--variable", "nu", "--grid-min", "8",
+          "--grid-max", "12", "--out-dir", "{tmp}"], "--grid-count", "3",
+         "3e0"),
+    ], ids=["samples", "n_max", "grid_count"])
+    def test_whole_float_count_is_its_int(self, argv, flag, count, whole,
+                                          capsys, tmp_path):
+        # a count written as a whole float is that int on the command
+        # line, as checked_int passes it in the library: the same bytes
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        written = []
+        for value in (count, whole):
+            code, out, err = run_cli(argv + [flag, value], capsys)
+            assert (code, err) == (EXIT_OK, "")
+            written.append([out] + [f.read_bytes()
+                                    for f in sorted(tmp_path.iterdir())])
+        assert written[0] == written[1]
 
 
 class TestSteadyCommand:

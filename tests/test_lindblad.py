@@ -350,6 +350,7 @@ class TestBuild:
 
     def test_generator_nbytes_counts_stored_arrays(self, agree_liouv):
         m = agree_liouv.matrix
+        assert type(m) is scipy.sparse.csr_array
         assert m.nbytes == (m.data.nbytes + m.indices.nbytes
                             + m.indptr.nbytes)
 
@@ -1188,13 +1189,21 @@ class TestReducedPhononEvolve:
         with pytest.raises(OverflowError, match="^n_ode evaluates to nan$"):
             reduced_phonon_evolve(AGREE_POINT, 1e308, [0.0, 2.5, 5.0])
 
-    def test_overflowing_growth_is_an_oracle_error(self):
-        # C = -0.0070: e^{|C| t} overflows at t ~ 1e5, and the integrator
-        # stops with no RuntimeWarning
+    def test_overflowing_growth_is_an_overflow(self):
+        # C = -0.0070: e^{|C| t} overflows between t = 1e5 and 1.013e5;
+        # the ODE follows the closed form up to there, and is refused
+        # before any step where trajectory writes n = +inf
         p = make(nu=10.0, eta=0.02, gamma_minus=2.0)
-        with pytest.raises(OracleError,
-                           match="^reduced-model integration failed: "):
-            reduced_phonon_evolve(p, 1.0, [0.0, 5e5, 1e6])
+        init = DressedInit(rz=0.0, n=1.0)
+        ode = reduced_phonon_evolve(p, 1.0, [0.0, 1e5])
+        closed = trajectory(p, init, [0.0, 1e5]).n
+        assert 1e305 < closed[-1] < np.inf
+        assert abs(ode[-1] / closed[-1] - 1.0) < 1e-8
+        for t_end, efolds in ((1.013e5, "711"), (1e6, r"7\.02e\+03")):
+            assert trajectory(p, init, [0.0, t_end]).n[-1] == np.inf
+            with pytest.raises(OverflowError,
+                               match=f"^n_ode grows by {efolds} e-folds"):
+                reduced_phonon_evolve(p, 1.0, [0.0, t_end])
 
     def test_time_zero_grid(self):
         out = reduced_phonon_evolve(FIG2_POINT, 1.5, [0.0])
