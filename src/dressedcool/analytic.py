@@ -12,15 +12,17 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (DegenerateRatesError, InvalidGridError, OracleError,
                      ZeroCouplingError)
 from .params import (RECOIL_SECOND_MOMENT, PhysicalParams, _square,
                      checked_real, dressed_frame)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RECOIL_SECOND_MOMENT",
@@ -50,7 +52,7 @@ _BALANCE_TOL = 1e-14
 # takes about 1 s per 1e5 of them
 _ODE_EFOLDS = 1e5
 # the most e-folds a double can grow by: e^x overflows above ln(DBL_MAX)
-_LN_DBL_MAX = math.log(np.finfo(float).max)
+_LN_DBL_MAX = math.log(sys.float_info.max)
 
 # the factor by which each "much greater" validity check's left side must
 # exceed its right side, unless the caller gives another
@@ -314,6 +316,7 @@ class Trajectory:
 
 
 def _check_times(times) -> np.ndarray:
+    import numpy as np
     try:
         t = np.asarray(times, dtype=float)
     except (TypeError, ValueError):
@@ -339,6 +342,7 @@ def trajectory(p: PhysicalParams,
     written in the exp/expm1 form; for C < 0 it is +inf once e^{|C| t}
     overflows.
     """
+    import numpy as np
     t = _check_times(times)
     g = _ingredients(p)
     atom = g.atom
@@ -381,14 +385,16 @@ def reduced_phonon_evolve(p: PhysicalParams, n0: float, times) -> np.ndarray:
     is not a finite number >= 0 raises InvalidParamsError (checked_real).
     DOP853's step stays below a constant over |C|, so the work grows with
     |C| * t_end: beyond _ODE_EFOLDS e-folds (about 1 s) the grid raises
-    InvalidGridError before any step. A growing n (C < 0) whose e^{|C| t}
-    leaves double range by t_end, where trajectory writes +inf, raises
-    OverflowError before any step too. An integrator failure raises
+    InvalidGridError before any step. A growing n (C < 0) that leaves
+    double range by t_end raises OverflowError before any step too: where
+    e^{|C| t} overflows, as trajectory writes +inf there, and where
+    n0 + A_plus/|C| times it does. An integrator failure raises
     OracleError, and a sample that is not finite OverflowError (see
     _finite).
     """
-    # scipy is imported here, not at module level, so that importing the
-    # closed form costs numpy only
+    # numpy and scipy are imported here, not at module level, so that
+    # importing the closed form loads neither
+    import numpy as np
     from scipy.integrate import solve_ivp
 
     t = _check_times(times)
@@ -404,9 +410,14 @@ def reduced_phonon_evolve(p: PhysicalParams, n0: float, times) -> np.ndarray:
         raise InvalidGridError(
             f"|C|*t_end = {efolds:.3g} e-folds exceeds the reduced ODE's "
             f"bound of {_ODE_EFOLDS:.0e}")
-    if c < 0.0 and efolds > _LN_DBL_MAX:
-        raise OverflowError(f"n_ode grows by {efolds:.3g} e-folds, beyond "
-                            f"double range ({_LN_DBL_MAX:.2f})")
+    if c < 0.0:
+        # n = start e^{|C| t} - A_plus/|C|; a start below 1 counts as 1, so
+        # e^{|C| t} alone still overflows and a start of 0 takes no log
+        start = n0 + source / -c
+        if efolds + math.log(max(start, 1.0)) > _LN_DBL_MAX:
+            raise OverflowError(
+                f"n_ode grows by {efolds:.3g} e-folds, beyond double range "
+                f"({_LN_DBL_MAX:.2f}) from n0 + A_plus/|C| = {start:.3g}")
     # an overflowing step is rejected by the integrator or leaves a
     # sample that is not finite; both are reported below, not warned
     with np.errstate(all="ignore"):

@@ -16,8 +16,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .analytic import (
     DressedInit,
     is_heating,
@@ -152,8 +150,7 @@ def cmd_trajectory(cfg: RunConfig) -> int:
                        n=cfg["n0"])
     traj = trajectory(p, init, times)
     columns = ["t", "rz", "re_rplus", "im_rplus", "n"]
-    series = [times, traj.rz, np.real(traj.rplus), np.imag(traj.rplus),
-              traj.n]
+    series = [times, traj.rz, traj.rplus.real, traj.rplus.imag, traj.n]
     if cfg["ode"]:
         columns.append("n_ode")
         series.append(reduced_phonon_evolve(p, cfg["n0"], times))

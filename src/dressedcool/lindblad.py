@@ -34,9 +34,10 @@ alone loads scipy.integrate. Every state is rebuilt from real
 coordinates, so it is Hermitian by construction. Nothing from the
 analytic module enters, so agreement between the two is a real check.
 
-Importing this module loads no scipy: each function imports the scipy
-modules it uses, so scipy loads on the first oracle call (the first
-build or solve) and a closed-form run never pays for it.
+Importing this module loads neither numpy nor scipy: each function
+imports the numpy and scipy modules it uses, so they load on the first
+oracle call (the first build, state or solve) and a closed-form run never
+pays for them.
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .errors import (
     DimensionOverflowError,
@@ -59,6 +58,7 @@ from .params import (RECOIL_SECOND_MOMENT, PhysicalParams, _square,
                      checked_int, checked_real, dressed_frame)
 
 if TYPE_CHECKING:
+    import numpy as np
     import scipy.sparse
 
 __all__ = [
@@ -161,6 +161,7 @@ class Liouvillian:
     def expectations(self, rho: np.ndarray):
         """(rz, rplus, n, tail_mass) of one density matrix, read off its
         entries; tail_mass is the population of the top two Fock levels."""
+        import numpy as np
         levels = self.n_max + 1
         diag = np.diagonal(rho)
         rz = (np.repeat([-1.0, 1.0], levels) * diag).sum().real
@@ -172,6 +173,7 @@ class Liouvillian:
     def even(self) -> np.ndarray:
         """Boolean mask over column-stacked vec(rho): True where rho_{an,bm}
         has (a + n) - (b + m) even."""
+        import numpy as np
         level, n = np.divmod(np.arange(self.dim), self.n_max + 1)
         parity = (level + n) % 2
         return (parity[:, None] == parity[None, :]).reshape(-1, order="F")
@@ -186,6 +188,7 @@ def _to_real(rho: np.ndarray) -> np.ndarray:
     """Real coordinates of Hermitian rho (..., dim, dim) as a matrix X with
     vec(X) = x: X_ij = Re rho_ij for i <= j and X_ji = Im rho_ij for i < j.
     Only the upper triangle of rho is read."""
+    import numpy as np
     upper = np.triu(np.ones(rho.shape[-2:], dtype=bool))
     return np.where(upper, rho.real, rho.imag.swapaxes(-1, -2))
 
@@ -193,6 +196,7 @@ def _to_real(rho: np.ndarray) -> np.ndarray:
 def _from_real(xmat: np.ndarray) -> np.ndarray:
     """The Hermitian rho (..., dim, dim) with real coordinates xmat, the
     inverse of _to_real, written with no temporary arrays."""
+    import numpy as np
     upper = np.triu(np.ones(xmat.shape[-2:], dtype=bool))
     lower = ~upper
     xmat_t = xmat.swapaxes(-1, -2)
@@ -243,6 +247,7 @@ def _assemble(terms, dim: int) -> scipy.sparse.csr_array:
     product is real; one COO sum gives L_r as canonical float64 CSR with
     int32 indices and no stored zeros. No weight is 0, so no 0 * inf.
     """
+    import numpy as np
     import scipy.sparse
 
     d2 = dim * dim
@@ -297,6 +302,7 @@ def _assemble(terms, dim: int) -> scipy.sparse.csr_array:
 
 def _number_diagonal(n_max: int) -> np.ndarray:
     """The diagonal of b'b, sqrt(n) sqrt(n) as in b'b, on both levels."""
+    import numpy as np
     root = np.sqrt(np.arange(n_max + 1))
     return np.tile(root * root, 2)
 
@@ -304,6 +310,7 @@ def _number_diagonal(n_max: int) -> np.ndarray:
 def _operators(p: PhysicalParams, n_max: int):
     """(hamiltonian, X = b + b', channels): the dense defining operators
     at `p`, channels the three (rate, A) on R_z, R- and R+, zero or not."""
+    import numpy as np
     f = dressed_frame(p)
     eye_ph = np.eye(n_max + 1)
     ann = np.diag(np.sqrt(np.arange(1, n_max + 1)), k=1).astype(complex)
@@ -344,6 +351,7 @@ def build_liouvillian(p: PhysicalParams, n_max: int) -> Liouvillian:
         If eta**2 overflows (eta above about 1.34e154), with the closed
         form's text, e.g. ``eta**2 overflows at eta = 1e+200``.
     """
+    import numpy as np
     n_max = checked_cut(n_max, DEFAULT_DIM_CAP)
     hamiltonian, x, channels = _operators(p, n_max)
     x2 = x @ x
@@ -379,6 +387,7 @@ def thermal_phonon(n_max: int, nbar: float, cut: int | None = None) -> np.ndarra
     (checked_int), or an nbar that is not a finite number >= 0
     (checked_real), raises InvalidParamsError.
     """
+    import numpy as np
     n_max = checked_int("n_max", n_max, 0)
     nbar = checked_real("nbar", nbar, 0)
     top = n_max if cut is None else min(checked_int("cut", cut, 0), n_max)
@@ -391,6 +400,7 @@ def thermal_phonon(n_max: int, nbar: float, cut: int | None = None) -> np.ndarra
 
 def product_state(atom: np.ndarray, phonon: np.ndarray) -> np.ndarray:
     """kron of a 2x2 atomic and an (n_max+1)^2 phonon density matrix."""
+    import numpy as np
     atom = np.asarray(atom, dtype=complex)
     if atom.shape != (2, 2):
         raise InvalidParamsError("atom", "atomic state must be 2x2")
@@ -400,12 +410,14 @@ def product_state(atom: np.ndarray, phonon: np.ndarray) -> np.ndarray:
 def _health(rho: np.ndarray) -> tuple[float, float, float]:
     """(trace error, Hermiticity defect, minimum eigenvalue of the
     Hermitian part) of one density matrix."""
+    import numpy as np
     return (abs(np.trace(rho).real - 1.0),
             np.abs(rho - rho.conj().T).max(),
             np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
 
 
 def _validate_state(rho: np.ndarray, dim: int) -> np.ndarray:
+    import numpy as np
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise InvalidParamsError(
@@ -496,6 +508,7 @@ def _propagator(gen: scipy.sparse.csr_array, dt: float, s: int) -> np.ndarray:
     of A = gen dt 2^-s by Horner, each step a sparse product A p, then s
     dense squarings, in two dense buffers beside a scaled sparse copy of
     gen, which is left as it is. OracleError if the result is not finite."""
+    import numpy as np
     u, scale = gen.shape[0], math.ldexp(dt, -s)
     # A in row panels whose products fit _PANEL_BYTES, each copied into
     # the second buffer: a fresh u x u product per step would map and
@@ -525,6 +538,7 @@ def _propagator(gen: scipy.sparse.csr_array, dt: float, s: int) -> np.ndarray:
 def _propagator_samples(gen: scipy.sparse.csr_array, x0: np.ndarray,
                         dt: float, n_samples: int, s: int) -> np.ndarray:
     """(n_samples, unknowns) states x_k = P^k x0, P = exp(gen dt)."""
+    import numpy as np
     p = _propagator(gen, dt, s)
     y = np.empty((n_samples, x0.size))
     y[0] = x0
@@ -551,6 +565,7 @@ def _dop853_samples(gen: scipy.sparse.csr_array, x0: np.ndarray,
 def _rebuild(dim: int, sector: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The full density matrices (n, dim, dim) whose real coordinates are
     y on the slots `sector` of column-stacked vec(rho) and 0 elsewhere."""
+    import numpy as np
     x = np.zeros((len(y), dim * dim))
     x[:, sector] = y
     # column-stacked vectors: reshape gives X.T per sample
@@ -615,6 +630,7 @@ def evolve(liouv: Liouvillian, rho0: np.ndarray, t_end: float, *,
         If DOP853 reports failure, or the propagator has an entry that is
         not finite.
     """
+    import numpy as np
     rho0 = _validate_state(rho0, liouv.dim)
     t_end = checked_real("t_end", t_end, 0)
     n_samples = checked_int("n_samples", n_samples, 2)
@@ -685,6 +701,7 @@ def _inverse_norm1_estimate(lu) -> float:
     """Lower bound on ||A^-1||_1 from the sparse real LU factors of A:
     scipy's estimator on solves with A and A^T (see steady_state), closed
     by LAPACK's alternating-sign test vector, as in dgecon."""
+    import numpy as np
     import scipy.sparse.linalg
 
     n = lu.shape[0]
@@ -725,6 +742,7 @@ def steady_state(liouv: Liouvillian) -> SteadyStateResult:
         that failed, with its value (rcond or residual), and has the same
         form at every dimension.
     """
+    import numpy as np
     import scipy.sparse
     import scipy.sparse.linalg
 

@@ -18,8 +18,6 @@ import math
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from .analytic import (
     Heating,
     is_heating,
@@ -100,17 +98,38 @@ def _encode_json(doc) -> str:
 def grid_from_range(lo: float, hi: float, count: int) -> tuple[float, ...]:
     """Inclusive evenly spaced grid of `count` floats from lo to hi.
 
-    A count that is not an integer >= 1 raises InvalidParamsError on
-    grid_count (checked_int); a grid numpy cannot make (a bound that is
-    not a number, a count too large to allocate) raises InvalidGridError.
+    The points are np.linspace(lo, hi, count)'s, bit for bit, in Python
+    arithmetic: i * step + lo with step = (hi - lo) / (count - 1), or
+    (i / (count - 1)) * (hi - lo) + lo where step is 0 (a subnormal
+    range), and the last point hi; a single point is 0 * (hi - lo) + lo.
+    The list is allocated before it is filled, so a count beyond memory
+    fails at once. A count that is not an integer >= 1
+    raises InvalidParamsError on grid_count (checked_int); a bound that is
+    not a number, or a count too large to allocate, InvalidGridError.
     """
     count = checked_int("grid_count", count, 1)
     try:
-        grid = np.linspace(float(lo), float(hi), count)
-    except (ValueError, MemoryError) as exc:
+        lo, hi = float(lo), float(hi)
+        grid = [0.0] * count
+    except ValueError as exc:
         raise InvalidGridError(
             f"cannot make a grid of {count} points: {exc}") from None
-    return tuple(float(v) for v in grid)
+    except (MemoryError, OverflowError):
+        raise InvalidGridError(f"cannot make a grid of {count} points: "
+                               "too many to allocate") from None
+    div, delta = count - 1, hi - lo
+    if div == 0:
+        grid[0] = 0.0 * delta + lo
+        return tuple(grid)
+    step = delta / div
+    if step == 0.0:
+        for i in range(count):
+            grid[i] = i / div * delta + lo
+    else:
+        for i in range(count):
+            grid[i] = i * step + lo
+    grid[-1] = hi
+    return tuple(grid)
 
 
 def _checked_grid(values) -> tuple[float, ...]:
@@ -120,10 +139,10 @@ def _checked_grid(values) -> tuple[float, ...]:
         raise InvalidGridError("sweep grid must hold numbers only") from None
     if not grid:
         raise InvalidGridError("sweep grid is empty")
-    if not all(np.isfinite(grid)):
+    if not all(map(math.isfinite, grid)):
         raise InvalidGridError("sweep grid contains non-finite values")
-    diffs = np.diff(grid)
-    if len(grid) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
+    diffs = [b - a for a, b in zip(grid, grid[1:])]
+    if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
         raise InvalidGridError("sweep grid must be strictly monotone")
     return grid
 

@@ -269,7 +269,13 @@ class TestExitCodes:
         ({"gamma_minus": "2"}, ["--t-end", "1e6", "--n0", "1"],
          EXIT_INVALID_INPUT, "error: inputs too large to evaluate: n_ode "
          "grows by 7.02e+03 e-folds, beyond double range (709.78)"),
-    ], ids=["n0-near-limit", "growing-overflow"])
+        # the same C over 702 e-folds, from n0 = 1e10: 702 + ln(1e10)
+        # passes 709.78, refused before DOP853's step size collapses
+        ({"gamma_minus": "2"}, ["--t-end", "1e5", "--n0", "1e10"],
+         EXIT_INVALID_INPUT, "error: inputs too large to evaluate: n_ode "
+         "grows by 702 e-folds, beyond double range (709.78) from "
+         "n0 + A_plus/|C| = 1e+10\n"),
+    ], ids=["n0-near-limit", "growing-overflow", "growing-from-large-n0"])
     def test_trajectory_ode_overflow_writes_one_line(self, changes, flags,
                                                      code, line):
         # a fresh interpreter, so that scipy's RuntimeWarnings would show
@@ -283,6 +289,34 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith(line)
+
+    @pytest.mark.parametrize("count", [2 ** 62, 2 ** 63])
+    @pytest.mark.parametrize("argv", [
+        ["sweep", *BASE_FLAGS, "--out-dir", "{tmp}", "--variable", "delta",
+         "--grid-min", "0", "--grid-max", "1", "--grid-count"],
+        ["trajectory", *BASE_FLAGS, "--t-end", "1", "--n0", "1",
+         "--samples"],
+    ], ids=["sweep", "trajectory"])
+    def test_grid_count_beyond_memory_is_1(self, argv, count, capsys,
+                                           tmp_path):
+        # refused before any point is made; never test a count the
+        # machine could try to allocate
+        code, out, err = run_cli(
+            [a.replace("{tmp}", str(tmp_path)) for a in argv] + [str(count)],
+            capsys)
+        assert (code, out) == (EXIT_INVALID_INPUT, "")
+        assert err == (f"error: cannot make a grid of {count} points: "
+                       "too many to allocate\n")
+
+    def test_overflowing_grid_range_writes_one_line(self, capsys, tmp_path):
+        # hi - lo overflows, so the grid holds a nan and an inf: one error
+        # line and no floating-point warning, which fails this suite
+        code, out, err = run_cli(
+            ["sweep", *BASE_FLAGS, "--variable", "delta", "--grid-min",
+             "-1e308", "--grid-max", "1e308", "--grid-count", "3",
+             "--out-dir", str(tmp_path)], capsys)
+        assert (code, out) == (EXIT_INVALID_INPUT, "")
+        assert err == "error: sweep grid contains non-finite values\n"
 
     def test_trajectory_ode_beyond_its_work_bound_is_1(self, capsys,
                                                        monkeypatch):
@@ -1053,7 +1087,7 @@ MALFORMED = {
         ["trajectory", *BASE_FLAGS, "--t-end", "inf", "--n0", "1"], 1),
     "sweep-grid-nan": (
         ["sweep", *BASE_FLAGS, *_NU_SCAN, "--grid-max", "nan"], 1),
-    # numpy refuses counts this large before it allocates anything
+    # counts this large are refused before anything is allocated
     "samples-huge": (
         ["trajectory", *BASE_FLAGS, *_TRAJ,
          "--samples", "10000000000000000000"], 1),
@@ -1312,10 +1346,11 @@ class TestEntryPoint:
         ["presets"], ["steady", *BASE_FLAGS],
         ["sweep", "--preset", "fig2", "--out-dir", "{tmp}"],
     ], ids=["presets", "steady", "sweep-fig2"])
-    def test_closed_form_command_loads_no_scipy(self, argv, tmp_path):
-        # only the oracle uses scipy and it imports scipy where it runs;
-        # -X importtime lists every module a run imports, wherever the
-        # import statement sits
+    def test_closed_form_command_loads_no_numpy_or_scipy(self, argv,
+                                                         tmp_path):
+        # only the oracle and the arrays of trajectory use numpy and scipy,
+        # and each function imports them where it runs; -X importtime
+        # lists every module a run imports, wherever the import sits
         proc = subprocess.run(
             [sys.executable, "-X", "importtime", "-m", "dressedcool.cli",
              *(a.replace("{tmp}", str(tmp_path)) for a in argv)],
@@ -1325,7 +1360,8 @@ class TestEntryPoint:
                     for line in proc.stderr.splitlines()
                     if line.startswith("import time:")]
         assert "dressedcool.lindblad" in imported
-        assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+        assert [m for m in imported
+                if m.split(".")[0] in ("numpy", "scipy")] == []
         # nor the process pool, which only a parallel oracle sweep starts
         assert "concurrent.futures.process" not in imported
         assert "multiprocessing" not in imported

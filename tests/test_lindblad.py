@@ -23,7 +23,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 from scipy.integrate import solve_ivp
 
-from dressedcool import lindblad
+from dressedcool import analytic, lindblad
 from dressedcool.analytic import (
     DressedInit,
     rate_set,
@@ -192,25 +192,44 @@ def test_package_import_leaves_out_scipy_integrate():
     assert proc.stdout == "[]\n"
 
 
+def test_package_import_loads_lindblad_but_no_numpy():
+    # the oracle module loads with the package (the benchmark reads its
+    # line of `python -X importtime -c "import dressedcool"`), but each
+    # function imports numpy where it runs, as it does scipy
+    code = ("import sys, dressedcool; "
+            "print('dressedcool.lindblad' in sys.modules, "
+            "sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "True []\n"
+
+
 def test_oracle_solves_after_an_import_without_scipy():
-    # the first oracle call loads scipy itself: in a fresh interpreter
-    # whose package import left scipy out, the steady state is the one
-    # solved in this process, and the generator still reports nbytes
+    # the first oracle call loads numpy and scipy itself: in a fresh
+    # interpreter whose package import left both out, the steady state
+    # and the closed-form trajectory are the ones made in this process,
+    # and the generator still reports nbytes
     code = (
         "import sys\n"
         "import dressedcool\n"
-        "from dressedcool import lindblad\n"
+        "from dressedcool import DressedInit, lindblad, trajectory\n"
         "from dressedcool.params import PhysicalParams\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('numpy', 'scipy')))\n"
         f"p = PhysicalParams(**{dataclasses.asdict(AGREE_POINT)!r})\n"
         "run = lindblad.converged_steady_state(p)\n"
         "m = lindblad.build_liouvillian(p, 4).matrix\n"
         "print(repr(run.n), run.history,\n"
-        "      m.nbytes == m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)\n")
+        "      m.nbytes == m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)\n"
+        "traj = trajectory(p, DressedInit(rz=0.0, n=3.0), [0.0, 5.0, 40.0])\n"
+        "print(traj.n.tolist(), traj.rplus.tolist())\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     run = converged_steady_state(AGREE_POINT)
-    assert proc.stdout == f"[]\n{run.n!r} {run.history} True\n"
+    traj = trajectory(AGREE_POINT, DressedInit(rz=0.0, n=3.0),
+                      [0.0, 5.0, 40.0])
+    assert proc.stdout == (f"[]\n{run.n!r} {run.history} True\n"
+                           f"{traj.n.tolist()} {traj.rplus.tolist()}\n")
 
 
 def test_propagator_route_leaves_out_scipy_integrate():
@@ -1204,6 +1223,37 @@ class TestReducedPhononEvolve:
             with pytest.raises(OverflowError,
                                match=f"^n_ode grows by {efolds} e-folds"):
                 reduced_phonon_evolve(p, 1.0, [0.0, t_end])
+
+    def test_growth_from_a_large_start_is_an_overflow(self, monkeypatch):
+        # n = (n0 + A_plus/|C|) e^{|C| t} - A_plus/|C|. At C = -0.0070 and
+        # t_end = 1e5, |C| t_end = 701.75 e-folds; from n0 = 1e10 the start
+        # adds ln(1e10) = 23.03, past ln(DBL_MAX) = 709.78. Two e-folds
+        # inside that bound the ODE still follows the closed form
+        p = make(nu=10.0, eta=0.02, gamma_minus=2.0)
+        rates = rate_set(p)
+        growth = -rates.cooling_rate
+        start = 1e10 + rates.a_rate_plus / growth
+        inside = [0.0, (math.log(sys.float_info.max) - 2.0
+                        - math.log(start)) / growth]
+        ode = reduced_phonon_evolve(p, 1e10, inside)
+        closed = trajectory(p, DressedInit(rz=0.0, n=1e10), inside).n
+        assert np.isfinite(ode).all()
+        assert abs(ode[-1] / closed[-1] - 1.0) < 1e-8
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *a, **k:
+                            pytest.fail("the ODE must not be integrated"))
+        with pytest.raises(OverflowError) as err:
+            reduced_phonon_evolve(p, 1e10, [0.0, 1e5])
+        assert str(err.value) == (
+            "n_ode grows by 702 e-folds, beyond double range (709.78) "
+            "from n0 + A_plus/|C| = 1e+10")
+
+    def test_growth_from_zero_stays_zero(self, monkeypatch):
+        # n0 = A_plus = 0 with C < 0: n stays 0, and the bound takes no
+        # log of the zero start
+        p = make(nu=10.0, eta=0.02, gamma_minus=2.0)
+        source_free = dataclasses.replace(rate_set(p), a_rate_plus=0.0)
+        monkeypatch.setattr(analytic, "rate_set", lambda p: source_free)
+        assert reduced_phonon_evolve(p, 0.0, [0.0, 1e4]).tolist() == [0.0, 0.0]
 
     def test_time_zero_grid(self):
         out = reduced_phonon_evolve(FIG2_POINT, 1.5, [0.0])

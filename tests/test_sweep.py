@@ -2,6 +2,9 @@
 
 import concurrent.futures
 import json
+import math
+import random
+import struct
 
 import numpy as np
 import pytest
@@ -85,6 +88,14 @@ class TestSpecValidation:
     def test_range_count_whole_float(self):
         assert grid_from_range(0.0, 1.0, 3.0) == (0.0, 0.5, 1.0)
 
+    @pytest.mark.parametrize("count", [2 ** 62, 2 ** 63])
+    def test_range_count_beyond_memory(self, count):
+        # refused before any point is made: no list of this many fits
+        with pytest.raises(InvalidGridError) as err:
+            grid_from_range(0.0, 1.0, count)
+        assert str(err.value) == (
+            f"cannot make a grid of {count} points: too many to allocate")
+
     def test_oracle_n_max_floor(self):
         with pytest.raises(InvalidParamsError) as err:
             small_spec(oracle=True, oracle_n_max=1)
@@ -128,6 +139,57 @@ class TestSpecValidation:
         spec = small_spec(oracle=oracle, oracle_n_max=12.0)
         echoed = spec.to_json_dict()["oracle_n_max"]
         assert type(echoed) is int and echoed == 12
+
+
+def _bits(values):
+    """The IEEE bytes of each float, which tell -0.0 from 0.0 and match
+    a nan with a nan."""
+    return [struct.pack("<d", v) for v in values]
+
+
+def _linspace_cases():
+    """(lo, hi, count): seeded draws with counts 1 to 1,000, then every
+    pair of the edge values (signed zeros, subnormals, +-1e308, inf, nan)
+    at counts 1, 2, 3, 7 and 1,000."""
+    rng = random.Random(36)
+    for _ in range(2000):
+        kind = rng.randrange(4)
+        if kind == 0:                   # ordinary ranges
+            lo, hi = rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)
+        elif kind == 1:                 # magnitudes across double range
+            lo, hi = (rng.choice((-1, 1)) * 10.0 ** rng.uniform(-320, 308)
+                      for _ in range(2))
+        elif kind == 2:                 # a subnormal width: step is 0
+            lo = rng.uniform(-10.0, 10.0)
+            hi = lo + rng.choice((-1, 1)) * 10.0 ** rng.uniform(-324, -300)
+        else:                           # any 64-bit pattern, nan included
+            lo, hi = (struct.unpack("<d", rng.getrandbits(64).to_bytes(
+                8, "little"))[0] for _ in range(2))
+        yield lo, hi, rng.randint(1, 1000)
+    edges = (0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e308, -1e308,
+             math.inf, -math.inf, math.nan)
+    for lo in edges:
+        for hi in edges:
+            for count in (1, 2, 3, 7, 1000):
+                yield lo, hi, count
+
+
+class TestGridFromRange:
+    def test_equals_numpy_linspace_bit_for_bit(self):
+        # the grid repeats np.linspace's arithmetic in Python floats
+        mismatched = []
+        for lo, hi, count in _linspace_cases():
+            with np.errstate(all="ignore"):
+                expected = np.linspace(lo, hi, count).tolist()
+            if _bits(grid_from_range(lo, hi, count)) != _bits(expected):
+                mismatched.append((lo, hi, count))
+        assert mismatched == []
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_grid_equals_numpy_linspace(self, name):
+        spec = preset_sweeps(name)[0]
+        lo, hi, count = sweep._PRESET_GRIDS[spec.variable]
+        assert _bits(spec.grid) == _bits(np.linspace(lo, hi, count).tolist())
 
 
 class TestParamsAt:
