@@ -28,7 +28,6 @@ __all__ = [
     "RECOIL_SECOND_MOMENT",
     "DEFAULT_MARGIN",
     "HEATING",
-    "Heating",
     "is_heating",
     "SteadyAtom",
     "RateSet",
@@ -59,23 +58,15 @@ _LN_DBL_MAX = math.log(sys.float_info.max)
 DEFAULT_MARGIN = 10.0
 
 
-@dataclass(frozen=True)
-class Heating:
-    """Marker value: phonon gain exceeds loss, no steady phonon number.
-
-    This is a result, not an error; sweeps and the CLI serialize it as the
-    string sentinel "HEATING" (sweep.HEATING_SENTINEL).
-    """
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "HEATING"
-
-
-HEATING = Heating()
+# The heating verdict: phonon gain exceeds loss, so no steady phonon number
+# exists. It is a result, not an error, and every document holds it as is.
+HEATING = "HEATING"
 
 
 def is_heating(value) -> bool:
-    return isinstance(value, Heating)
+    """Whether value is the HEATING verdict. It compares by equality, as a
+    row from a process pool holds an unpickled copy of the string."""
+    return isinstance(value, str) and value == HEATING
 
 
 @dataclass(frozen=True)
@@ -161,7 +152,7 @@ class _Ingredients(NamedTuple):
             cooling_rate=a_rate_minus - a_rate_plus,
         )
 
-    def _steady_phonon(self) -> float | Heating:
+    def _steady_phonon(self) -> float | str:
         inversion_gap = -self.atom.rz   # r11 - r22, exact sign
         if inversion_gap <= _BALANCE_TOL:
             return HEATING
@@ -247,8 +238,8 @@ def cooling_rate(p: PhysicalParams) -> float:
     return _finite("cooling_rate", numerator / lorentzian)
 
 
-def steady_phonon(p: PhysicalParams) -> float | Heating:
-    """Steady mean phonon number, or the HEATING marker.
+def steady_phonon(p: PhysicalParams) -> float | str:
+    """Steady mean phonon number, or the string HEATING (see is_heating).
 
     On the cooling side (r11 > r22) this is
         r22/(r11 - r22)
@@ -300,7 +291,7 @@ class Trajectory:
     phonon_growing flags a net-gain phonon branch (cooling_rate <= 0 with a
     positive source); on it n becomes +inf where e^{|C| t} overflows
     double precision, and is finite everywhere else.
-    n_steady is the HEATING marker on the heating side and None when
+    n_steady is the string HEATING on the heating side and None when
     eta*omega = 0 (phonon decoupled, n stays at its initial value). Its
     decay rates are rate_set(p).gamma_s and rate_set(p).gamma_perp.
     """
@@ -310,7 +301,7 @@ class Trajectory:
     rplus: np.ndarray
     n: np.ndarray
     rz_steady: float
-    n_steady: float | Heating | None
+    n_steady: float | str | None
     cooling_rate: float
     phonon_growing: bool
 
@@ -367,7 +358,7 @@ def trajectory(p: PhysicalParams,
         n[np.isinf(decay)] = np.inf
 
     try:
-        n_steady: float | Heating | None = g._steady_phonon()
+        n_steady: float | str | None = g._steady_phonon()
     except ZeroCouplingError:
         n_steady = None
     return Trajectory(
@@ -388,9 +379,10 @@ def reduced_phonon_evolve(p: PhysicalParams, n0: float, times) -> np.ndarray:
     InvalidGridError before any step. A growing n (C < 0) that leaves
     double range by t_end raises OverflowError before any step too: where
     e^{|C| t} overflows, as trajectory writes +inf there, and where
-    n0 + A_plus/|C| times it does. An integrator failure raises
-    OracleError, and a sample that is not finite OverflowError (see
-    _finite).
+    n0 + A_plus/|C| times it does. A growing n that ends near that bound
+    and leaves a sample that is not finite raises the same OverflowError.
+    An integrator failure raises OracleError, and any other sample that
+    is not finite OverflowError (see _finite).
     """
     # numpy and scipy are imported here, not at module level, so that
     # importing the closed form loads neither
@@ -410,14 +402,16 @@ def reduced_phonon_evolve(p: PhysicalParams, n0: float, times) -> np.ndarray:
         raise InvalidGridError(
             f"|C|*t_end = {efolds:.3g} e-folds exceeds the reduced ODE's "
             f"bound of {_ODE_EFOLDS:.0e}")
+    growth = None
     if c < 0.0:
         # n = start e^{|C| t} - A_plus/|C|; a start below 1 counts as 1, so
         # e^{|C| t} alone still overflows and a start of 0 takes no log
         start = n0 + source / -c
+        growth = OverflowError(
+            f"n_ode grows by {efolds:.3g} e-folds, beyond double range "
+            f"({_LN_DBL_MAX:.2f}) from n0 + A_plus/|C| = {start:.3g}")
         if efolds + math.log(max(start, 1.0)) > _LN_DBL_MAX:
-            raise OverflowError(
-                f"n_ode grows by {efolds:.3g} e-folds, beyond double range "
-                f"({_LN_DBL_MAX:.2f}) from n0 + A_plus/|C| = {start:.3g}")
+            raise growth
     # an overflowing step is rejected by the integrator or leaves a
     # sample that is not finite; both are reported below, not warned
     with np.errstate(all="ignore"):
@@ -428,6 +422,10 @@ def reduced_phonon_evolve(p: PhysicalParams, n0: float, times) -> np.ndarray:
         raise OracleError(f"reduced-model integration failed: {sol.message}")
     n = sol.y[0]
     if not np.isfinite(n).all():
+        if growth is not None:
+            # within about an e-fold of the bound, DOP853's stages can
+            # step past DBL_MAX while n itself stays finite
+            raise growth
         _finite("n_ode", float(n[~np.isfinite(n)][0]))
     return n
 

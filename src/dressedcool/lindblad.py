@@ -122,8 +122,7 @@ class Liouvillian:
     sorted int32 indices, no stored zeros) acts on the real coordinates x
     of column-stacked vec(rho): slot (i, i) holds rho_ii, slot (i, j) with
     i < j Re rho_ij and slot (j, i) Im rho_ij. steady_state factors it and
-    evolve integrates it; `apply` derives the dense defining operators
-    again (_operators) and cross-checks the vectorization with them alone.
+    evolve integrates it.
 
     The generator has a Z2 weak symmetry: give basis state |a, n> (dressed
     level a, Fock level n) the parity (a + n) mod 2; no term couples an
@@ -141,22 +140,6 @@ class Liouvillian:
     def dim(self) -> int:
         """Total Hilbert-space dimension, total_dim(n_max)."""
         return total_dim(self.n_max)
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Right-hand side d(rho)/dt for one density matrix from the dense
-        operators of _operators, summed over all three channels."""
-        h, x, channels = _operators(self.params, self.n_max)
-        out = -1j * (h @ rho - rho @ h)
-        alpha_eta2 = RECOIL_SECOND_MOMENT * self.params.eta ** 2
-        x2 = x @ x
-        smeared = rho + alpha_eta2 * (
-            x @ rho @ x - 0.5 * (x2 @ rho + rho @ x2))
-        for rate, a in channels:
-            a_dag = a.conj().T
-            n_op = a_dag @ a
-            out += (2.0 * rate) * (a @ smeared @ a_dag)
-            out -= rate * (n_op @ rho + rho @ n_op)
-        return out
 
     def expectations(self, rho: np.ndarray):
         """(rz, rplus, n, tail_mass) of one density matrix, read off its
@@ -336,7 +319,7 @@ def build_liouvillian(p: PhysicalParams, n_max: int) -> Liouvillian:
     each Hermitian mirror pair of such Kronecker products of the dense
     operators of _operators, and _assemble builds its real form: float64
     CSR with int32 indices, sorted, and no stored zeros. The Liouvillian
-    holds params, n_max and that matrix; `apply` derives the operators again.
+    holds params, n_max and that matrix.
 
     Raises
     ------
@@ -449,7 +432,9 @@ class EvolveResult:
     tail_mass tracks the top two Fock levels of the caller's Liouvillian;
     trace_err and min_eig record how well the state kept its density-matrix
     properties. herm_defect is 0 by construction (evolve integrates real
-    coordinates of a Hermitian matrix), so it does not test the integrator.
+    coordinates of a Hermitian matrix), so it does not test the
+    integrator; it is measured, not assumed, so that a reconstruction
+    that lost Hermiticity would show.
     """
 
     times: np.ndarray
@@ -682,7 +667,8 @@ class SteadyStateResult:
     conditioning of the trace-constrained solve; n_max is the Fock cut
     (dimension total_dim(n_max)). herm_defect and min_eig are measured by
     _health: herm_defect is 0 while rho is rebuilt from real coordinates,
-    and guards against a future non-Hermitian reconstruction.
+    and is reported, in validate documents too, so that a reconstruction
+    that lost Hermiticity would show.
     """
 
     rho: np.ndarray

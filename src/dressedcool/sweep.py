@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass
 
 from .analytic import (
-    Heating,
+    HEATING,
     is_heating,
     rate_set,
     steady_atom,
@@ -43,18 +43,17 @@ GAMMA_ZERO_RULES = ("track_gamma_minus", "fixed")
 
 # The closed-form value columns, in table order between "x" and "valid".
 VALUE_COLUMNS = ("n_s", "rz_s", "sz_s", "two_sz_s", "c", "a_plus_rate")
-HEATING_SENTINEL = "HEATING"
+# analytic.HEATING under the name perfbench imports
+HEATING_SENTINEL = HEATING
 # prefix of the error markers left by a failed oracle solve
 _ORACLE_MARKER = "oracle "
 
 
 def _cell(value) -> str:
-    """One CSV cell: empty for None, the sentinel for HEATING, lowercase
-    booleans, str otherwise (for a float, its repr)."""
+    """One CSV cell: empty for None, lowercase booleans, str otherwise
+    (for a float, its repr; HEATING is a string already)."""
     if value is None:
         return ""
-    if is_heating(value):
-        return HEATING_SENTINEL
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
@@ -78,8 +77,6 @@ def _json_value(value):
         return repr(value)       # "inf" / "-inf" / "nan" as strings
     if isinstance(value, (bool, int, str)) or value is None:
         return value
-    if is_heating(value):
-        return HEATING_SENTINEL
     if isinstance(value, dict):
         return {k: _json_value(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -229,7 +226,7 @@ class SweepSpec:
 @dataclass(frozen=True)
 class SweepRow:
     x: float
-    n_s: float | Heating | None = None
+    n_s: float | str | None = None
     rz_s: float | None = None
     sz_s: float | None = None
     two_sz_s: float | None = None

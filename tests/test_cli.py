@@ -275,7 +275,14 @@ class TestExitCodes:
          EXIT_INVALID_INPUT, "error: inputs too large to evaluate: n_ode "
          "grows by 702 e-folds, beyond double range (709.78) from "
          "n0 + A_plus/|C| = 1e+10\n"),
-    ], ids=["n0-near-limit", "growing-overflow", "growing-from-large-n0"])
+        # half an e-fold inside that bound n is finite, but DOP853's stages
+        # step past DBL_MAX: the same overflow, not an n of nan
+        ({"gamma_minus": "2"}, ["--t-end", "97791.6028297619", "--n0", "1e10"],
+         EXIT_INVALID_INPUT, "error: inputs too large to evaluate: n_ode "
+         "grows by 686 e-folds, beyond double range (709.78) from "
+         "n0 + A_plus/|C| = 1e+10\n"),
+    ], ids=["n0-near-limit", "growing-overflow", "growing-from-large-n0",
+            "growing-near-the-bound"])
     def test_trajectory_ode_overflow_writes_one_line(self, changes, flags,
                                                      code, line):
         # a fresh interpreter, so that scipy's RuntimeWarnings would show

@@ -179,6 +179,25 @@ def kron_generator(liouv):
     return lmat
 
 
+def apply(liouv, rho):
+    """Right-hand side d(rho)/dt for one density matrix, as matrix
+    products of the Liouvillian's own defining operators, derived again
+    from its params and n_max, summed over all three channels: the dense
+    check of the vectorization, written without the generator."""
+    h, x, channels = lindblad._operators(liouv.params, liouv.n_max)
+    out = -1j * (h @ rho - rho @ h)
+    alpha_eta2 = RECOIL_SECOND_MOMENT * liouv.params.eta ** 2
+    x2 = x @ x
+    smeared = rho + alpha_eta2 * (
+        x @ rho @ x - 0.5 * (x2 @ rho + rho @ x2))
+    for rate, a in channels:
+        a_dag = a.conj().T
+        n_op = a_dag @ a
+        out += (2.0 * rate) * (a @ smeared @ a_dag)
+        out -= rate * (n_op @ rho + rho @ n_op)
+    return out
+
+
 def test_package_import_leaves_out_scipy_integrate():
     # every scipy module is imported where it runs, in the oracle's
     # functions and in the closed form's reduced ODE: scipy.sparse alone
@@ -317,7 +336,7 @@ class TestBuild:
     def test_dim_is_derived_not_stored(self, agree_liouv):
         # one dimension rule, total_dim, and no stored copy of it
         assert "dim" not in {f.name for f in dataclasses.fields(Liouvillian)}
-        # nor of the dense operators, which apply derives again
+        # nor of the dense operators, which _operators derives again
         assert {f.name for f in dataclasses.fields(Liouvillian)} == {
             "params", "n_max", "matrix"}
         assert agree_liouv.dim == lindblad.total_dim(agree_liouv.n_max) == \
@@ -343,7 +362,7 @@ class TestBuild:
             m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             rho = m @ m.conj().T
             rho /= np.trace(rho)
-            via_apply = to_real @ liouv.apply(rho).reshape(-1, order="F")
+            via_apply = to_real @ apply(liouv, rho).reshape(-1, order="F")
             assert np.abs(via_apply.imag).max() < 1e-13 * np.abs(via_apply).max()
             via_matrix = liouv.matrix @ (
                 to_real @ rho.reshape(-1, order="F")).real
@@ -356,7 +375,7 @@ class TestBuild:
         d = liouv.dim
         m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         rho = 0.5 * (m + m.conj().T)
-        out = liouv.apply(rho)
+        out = apply(liouv, rho)
         assert np.abs(out - out.conj().T).max() < 1e-12 * np.abs(out).max()
 
     def test_hamiltonian_only_spectrum_is_imaginary(self):
@@ -1228,17 +1247,28 @@ class TestReducedPhononEvolve:
         # n = (n0 + A_plus/|C|) e^{|C| t} - A_plus/|C|. At C = -0.0070 and
         # t_end = 1e5, |C| t_end = 701.75 e-folds; from n0 = 1e10 the start
         # adds ln(1e10) = 23.03, past ln(DBL_MAX) = 709.78. Two e-folds
-        # inside that bound the ODE still follows the closed form
+        # inside that bound the ODE still follows the closed form; half an
+        # e-fold inside it n is finite, but DOP853's stages step past
+        # DBL_MAX, which is the same overflow, not an n of nan
         p = make(nu=10.0, eta=0.02, gamma_minus=2.0)
+        init = DressedInit(rz=0.0, n=1e10)
         rates = rate_set(p)
         growth = -rates.cooling_rate
         start = 1e10 + rates.a_rate_plus / growth
-        inside = [0.0, (math.log(sys.float_info.max) - 2.0
-                        - math.log(start)) / growth]
-        ode = reduced_phonon_evolve(p, 1e10, inside)
-        closed = trajectory(p, DressedInit(rz=0.0, n=1e10), inside).n
+
+        def inside(efolds):
+            return [0.0, (math.log(sys.float_info.max) - efolds
+                          - math.log(start)) / growth]
+        ode = reduced_phonon_evolve(p, 1e10, inside(2.0))
+        closed = trajectory(p, init, inside(2.0)).n
         assert np.isfinite(ode).all()
         assert abs(ode[-1] / closed[-1] - 1.0) < 1e-8
+        assert np.isfinite(trajectory(p, init, inside(0.5)).n).all()
+        with pytest.raises(OverflowError) as err:
+            reduced_phonon_evolve(p, 1e10, inside(0.5))
+        assert str(err.value) == (
+            "n_ode grows by 686 e-folds, beyond double range (709.78) "
+            "from n0 + A_plus/|C| = 1e+10")
         monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *a, **k:
                             pytest.fail("the ODE must not be integrated"))
         with pytest.raises(OverflowError) as err:

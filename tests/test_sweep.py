@@ -394,8 +394,11 @@ class TestSerialization:
         assert parsed[2][-1] == ""
 
     def test_numpy_float_cell_is_its_python_float_repr(self):
-        # under numpy 2, repr(np.float64(0.1)) is 'np.float64(0.1)'; str
-        # gives the Python float's repr for numpy and Python floats alike
+        # no document the package writes hands _cell a numpy scalar, but
+        # SweepRow and SweepTable are public, so a caller's row may hold
+        # one. Under numpy 2, repr(np.float64(0.1)) is 'np.float64(0.1)';
+        # str gives the Python float's repr for numpy and Python floats
+        # alike, so such a row writes the same CSV as a Python one
         assert sweep._cell(np.float64(0.1)) == "0.1"
         for value in (0.1, -0.0, 5e-324, 1.7976931348623157e308,
                       float("inf"), float("nan")):
@@ -443,10 +446,15 @@ class TestOracleSweeps:
             "); kernel is not one-dimensional within tolerance")
 
     def test_parallel_oracle_sweep_equals_serial(self):
-        spec = SweepSpec(base=BASE, variable="gamma_ratio", grid=(0.2, 0.3),
-                         gamma_zero_rule="track_gamma_minus",
-                         oracle=True, oracle_n_max=8)
-        assert run_sweep(spec, workers=2).to_csv() == run_sweep(spec).to_csv()
+        # the second grid ends in a heating row, which reaches the table
+        # as an unpickled copy of the HEATING string
+        for grid in ((0.2, 0.3), (0.3, 1.2)):
+            spec = SweepSpec(base=BASE, variable="gamma_ratio", grid=grid,
+                             gamma_zero_rule="track_gamma_minus",
+                             oracle=True, oracle_n_max=8)
+            pooled = run_sweep(spec, workers=2)
+            assert pooled.to_csv() == run_sweep(spec).to_csv()
+        assert is_heating(pooled.rows[-1].n_s)
 
     @pytest.mark.parametrize("workers, points, cpus, pool_size", [
         (64, 3, 8, 3),          # bounded by the grid
